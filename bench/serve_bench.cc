@@ -89,7 +89,7 @@ struct Options
     std::vector<SloClass> slos;       // parallel to models
     int vggConvs = 5;
     Precision precision = Precision::Fp32;
-    EngineKind engine = EngineKind::LineBuffer;
+    PlanEngine engine = PlanEngine::LineBuffer;
     int workers = 0;          // 0 = auto
     int requests = 32;
     int concurrency = 4;      // closed loop unless --qps given
@@ -211,7 +211,7 @@ writeServeJson(const Options &opt, const InferenceServer &server,
                  "\"deadline_ms\": %.3f, \"budget_ms\": %.3f, "
                  "\"pin\": %s, \"seed\": %" PRIu64 "},\n",
                  joinNames(opt.models).c_str(),
-                 engineKindName(opt.engine),
+                 planEngineName(opt.engine),
                  precisionName(opt.precision),
                  opt.qps > 0.0 ? "open" : "closed", workers,
                  opt.requests, opt.concurrency, opt.qps, opt.batchMax,
@@ -330,7 +330,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[a], "--precision") == 0) {
             opt.precision = precisionFromName(argValue(argc, argv, &a));
         } else if (std::strcmp(argv[a], "--engine") == 0) {
-            opt.engine = engineKindFromName(argValue(argc, argv, &a));
+            opt.engine = planEngineFromName(argValue(argc, argv, &a));
         } else if (std::strcmp(argv[a], "--workers") == 0) {
             opt.workers = parseIntArgI("--workers",
                                        argValue(argc, argv, &a), 1, 4096);
@@ -479,7 +479,7 @@ main(int argc, char **argv)
     cfg.shedHeadroom = opt.shedHeadroom;
 
     std::printf("== serve_bench: %s on %s (%s), %s loop ==\n",
-                engineKindName(opt.engine),
+                planEngineName(opt.engine),
                 joinNames(opt.models).c_str(),
                 precisionName(opt.precision),
                 open_loop ? "open" : "closed");

@@ -1,9 +1,9 @@
 #include "accel/baseline_accel.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <vector>
 
+#include "common/clock.hh"
 #include "common/logging.hh"
 #include "common/mathutil.hh"
 #include "common/thread_pool.hh"
@@ -15,18 +15,6 @@
 #include "sim/double_buffer.hh"
 
 namespace flcnn {
-
-namespace {
-
-double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
 
 BaselineAccelerator::BaselineAccelerator(const Network &network,
                                          const NetworkWeights &w,
@@ -243,7 +231,7 @@ BaselineAccelerator::run(const Tensor &input, AccelStats *stats)
         const LayerSpec &w = net.layer(st.windowed);
         const int stage_idx = s;  // s moves past a merged pool stage
         const AccelStats before = cur;
-        const double t0 = metrics ? wallSeconds() : 0.0;
+        const double t0 = metrics ? monotonicSeconds() : 0.0;
         int64_t weight_bytes = 0;
         if (w.kind == LayerKind::Conv) {
             bool merged = false;
@@ -277,7 +265,7 @@ BaselineAccelerator::run(const Tensor &input, AccelStats *stats)
                 scope, "makespan_cycles",
                 cur.makespanCycles - before.makespanCycles);
             metrics->addGauge(scope, "wall_seconds",
-                              wallSeconds() - t0);
+                              monotonicSeconds() - t0);
         }
     }
 

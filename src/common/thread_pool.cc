@@ -1,7 +1,6 @@
 #include "common/thread_pool.hh"
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 
@@ -10,6 +9,7 @@
 #include <sched.h>
 #endif
 
+#include "common/clock.hh"
 #include "common/logging.hh"
 
 namespace flcnn {
@@ -27,14 +27,6 @@ currentObserver()
 {
     std::lock_guard<std::mutex> lk(observer_mu);
     return observer;
-}
-
-double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 /** True while the current thread is executing a parallelFor chunk;
@@ -89,9 +81,9 @@ ThreadPool::runChunk(const RangeFn &body, int64_t begin, int64_t end,
     if (observer_installed.load(std::memory_order_relaxed)) {
         auto obs = currentObserver();
         if (obs && *obs) {
-            const double t0 = nowSeconds();
+            const double t0 = monotonicSeconds();
             body(lo, hi);
-            (*obs)(tid, lo, hi, t0, nowSeconds());
+            (*obs)(tid, lo, hi, t0, monotonicSeconds());
             in_parallel_region = saved;
             return;
         }

@@ -1,34 +1,20 @@
 #include "fusion/fused_executor.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
+#include "common/clock.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "kernels/conv_kernels.hh"
-#include "nn/autotune_net.hh"
 #include "obs/metrics.hh"
-#include "tune/tune_cache.hh"
 
 namespace flcnn {
 
-namespace {
-
-double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
-
 FusedExecutor::FusedExecutor(const Network &network,
                              const NetworkWeights &w, TilePlan plan)
-    : net(network), weights(w), tplan(std::move(plan))
+    : net(network), tplan(std::move(plan)),
+      conv(network, w, tplan.firstLayer(), tplan.lastLayer())
 {
     int n = tplan.numFusedLayers();
     states.resize(static_cast<size_t>(n));
@@ -204,117 +190,25 @@ FusedExecutor::computeWindowed(int li, int r, int c)
 
     const int s = spec.stride;
     if (spec.kind == LayerKind::Conv) {
-        const FilterBank &fb = weights.bank(net.convSlot(g.layerIdx));
-        const int n_per_group = fb.numChannels();
-        const int64_t plane = static_cast<int64_t>(st.fresh.shape().h) *
-                              st.fresh.shape().w;
-        const int x0 = ox.begin * s - st.tileX.begin;
-        const Precision mode =
-            precision ? precision->mode() : Precision::Fp32;
-        // One (filter-block, row) strip per work item: disjoint fresh
-        // writes across filter blocks and rows, and the blocked kernel
-        // keeps each (filter, pixel) accumulator private in convPoint's
-        // (bias, n, i, j) order, so the fused pyramid stays
-        // bit-identical to the reference at every thread count. The op
-        // tally is analytic to keep the parallel region race-free.
-        // Non-fp32 modes first stage the tile rows this pyramid reads
-        // (serial, elementwise, idempotent), then run the mode's
-        // drivers against the shared staging with the same parallel
-        // shape — precision state is identical to the precision
-        // reference's, so the bit-exactness argument carries over.
-        if (mode != Precision::Fp32) {
-            const int slot = net.convSlot(g.layerIdx);
-            const Shape &ts = st.tile.shape();
-            st.stage.configure(mode, ts.c, ts.h, ts.w);
-            const int r0 = oy.begin * s - st.tileY.begin;
-            const int r1 = std::min(
-                (oy.end - 1) * s - st.tileY.begin + spec.kernel, ts.h);
-            if (mode == Precision::Int8) {
-                const ActQuant &act = precision->actQuant(slot);
-                stageConvInputI8(st.stage, st.tile, act, r0, r1);
-                const ConvBlockKernelI8 &bk = st.plan.bkI8;
-                const PackedWeightsI8 &pw = packCache.getI8(
-                    g.layerIdx, fb, spec.groups, precision->weightScales(slot),
-                    precision->scaleId(), st.plan.cfg.mrCap);
-                const int nb = pw.numBlocks();
-                parallelFor(
-                    0, static_cast<int64_t>(nb) * oy.width(),
-                    [&](int64_t lo, int64_t hi) {
-                        for (int64_t w = lo; w < hi; w++) {
-                            const int bi =
-                                static_cast<int>(w / oy.width());
-                            const int gy =
-                                oy.begin +
-                                static_cast<int>(w % oy.width());
-                            int row_idx[kMaxConvKernel];
-                            for (int i = 0; i < bk.k; i++)
-                                row_idx[i] =
-                                    gy * s - st.tileY.begin + i;
-                            convBlockRowI8(
-                                bk, pw, bi,
-                                &st.fresh(pw.block(bi).m0,
-                                          gy - oy.begin, 0),
-                                plane, ox.width(), st.stage, row_idx,
-                                x0, act);
-                        }
-                    },
-                    st.plan.cfg.grain);
-            } else {
-                stageConvInputF16(st.stage, st.tile, r0, r1);
-                const ConvBlockKernel &bk = st.plan.bk;
-                const PackedWeightsF16 &pw = packCache.getF16(
-                    g.layerIdx, fb, spec.groups, st.plan.cfg.mrCap);
-                const int nb = pw.numBlocks();
-                parallelFor(
-                    0, static_cast<int64_t>(nb) * oy.width(),
-                    [&](int64_t lo, int64_t hi) {
-                        for (int64_t w = lo; w < hi; w++) {
-                            const int bi =
-                                static_cast<int>(w / oy.width());
-                            const int gy =
-                                oy.begin +
-                                static_cast<int>(w % oy.width());
-                            int row_idx[kMaxConvKernel];
-                            for (int i = 0; i < bk.k; i++)
-                                row_idx[i] =
-                                    gy * s - st.tileY.begin + i;
-                            convBlockRowF16(
-                                bk, pw, bi,
-                                &st.fresh(pw.block(bi).m0,
-                                          gy - oy.begin, 0),
-                                plane, ox.width(), st.stage, row_idx,
-                                x0);
-                        }
-                    },
-                    st.plan.cfg.grain);
-            }
-        } else {
-            const ConvBlockKernel &bk = st.plan.bk;
-            const PackedWeights &pw = packCache.get(
-                g.layerIdx, fb, spec.groups, 0, st.plan.cfg.mrCap);
-            const int nb = pw.numBlocks();
-            parallelFor(
-                0, static_cast<int64_t>(nb) * oy.width(),
-                [&](int64_t lo, int64_t hi) {
-                    for (int64_t w = lo; w < hi; w++) {
-                        const int bi = static_cast<int>(w / oy.width());
-                        const int gy =
-                            oy.begin + static_cast<int>(w % oy.width());
-                        convBlockRowTensor(
-                            bk, pw, bi,
-                            &st.fresh(pw.block(bi).m0, gy - oy.begin, 0),
-                            plane, ox.width(), st.tile,
-                            gy * s - st.tileY.begin, x0);
-                    }
-                },
-                st.plan.cfg.grain);
-        }
-        int64_t taps = static_cast<int64_t>(n_per_group) * fb.kernel() *
-                       fb.kernel();
-        int64_t points = static_cast<int64_t>(g.outPlane.c) *
-                         oy.width() * ox.width();
-        curStats.ops.mults += taps * points;
-        curStats.ops.adds += taps * points;
+        // Tile rows [r0, ...) feed the fresh rows; int8/fp16 restage
+        // them from the tile on every pyramid.
+        const int r0 = oy.begin * s - st.tileY.begin;
+        const int64_t macs = conv.run(
+            li, {.src = &st.tile,
+                 .srcRow0 = r0,
+                 .x0 = ox.begin * s - st.tileX.begin,
+                 .rows = oy.width(),
+                 .count = ox.width(),
+                 .dst = st.fresh.data(),
+                 .chStride = static_cast<int64_t>(st.fresh.shape().h) *
+                             st.fresh.shape().w,
+                 .rowStride = st.fresh.shape().w,
+                 .stageBegin = r0,
+                 .stageEnd = std::min((oy.end - 1) * s - st.tileY.begin +
+                                          spec.kernel,
+                                      st.tile.shape().h)});
+        curStats.ops.mults += macs;
+        curStats.ops.adds += macs;
     } else {
         // Disjoint (ch, row) output strips; window order untouched.
         // Pool ops are tallied analytically below (the per-point tally
@@ -552,28 +446,13 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
         layerAdds.assign(static_cast<size_t>(n), 0);
         layerCompares.assign(static_cast<size_t>(n), 0);
     }
-    const Precision runMode =
-        precision ? precision->mode() : Precision::Fp32;
-    // Refresh conv plans only when the tune cache has changed since
-    // they were last computed (or a setter invalidated them): planner
-    // lookups build shape-key strings, which would put a heap
-    // allocation on the serving steady-state path.
-    const int64_t tuneRev = TuneCache::global().revision();
-    const bool replan = tuneRev != plannedRev;
-    plannedRev = tuneRev;
+    conv.beginRun();
     for (int li = 0; li < n; li++) {
         LayerState &st = states[static_cast<size_t>(li)];
         st.btBaseOld = 0;
         st.btBaseNew = 0;
         st.btWatermark = 0;
         st.blX = Span{0, 0};
-        if (replan && tplan.geom(li).windowed &&
-            net.layer(tplan.geom(li).layerIdx).kind == LayerKind::Conv) {
-            st.plan = planConv(convLayerQuery(
-                net.layer(tplan.geom(li).layerIdx),
-                tplan.geom(li).inPlane, runMode,
-                fastMath && runMode == Precision::Fp32));
-        }
         bool counts_coverage =
             tplan.geom(li).windowed ||
             net.layer(tplan.geom(li).layerIdx).kind == LayerKind::Pad;
@@ -632,7 +511,7 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
                     mul0 = curStats.ops.mults;
                     add0 = curStats.ops.adds;
                     cmp0 = curStats.ops.compares;
-                    t0 = wallSeconds();
+                    t0 = monotonicSeconds();
                 }
                 if (g.windowed) {
                     assembleTile(li, r, c);
@@ -645,7 +524,7 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
                 }
                 if (metrics) {
                     const size_t i = static_cast<size_t>(li);
-                    layerWall[i] += wallSeconds() - t0;
+                    layerWall[i] += monotonicSeconds() - t0;
                     layerLoaded[i] += curStats.loadedBytes - loaded0;
                     layerMults[i] += curStats.ops.mults - mul0;
                     layerAdds[i] += curStats.ops.adds - add0;
@@ -711,12 +590,7 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
         }
         metrics->addCounter(metricsPrefix, "pyramids",
                             curStats.pyramids);
-        metrics->addCounter(metricsPrefix, "pack_hits",
-                            packCache.hits() - lastPackHits);
-        metrics->addCounter(metricsPrefix, "pack_misses",
-                            packCache.misses() - lastPackMisses);
-        lastPackHits = packCache.hits();
-        lastPackMisses = packCache.misses();
+        conv.recordPackCounters(*metrics, metricsPrefix);
     }
 
     if (trackCoverage) {

@@ -35,14 +35,12 @@
 #include <vector>
 
 #include "common/opcount.hh"
+#include "fusion/conv_row_driver.hh"
 #include "fusion/plan.hh"
-#include "kernels/conv_layer.hh"
-#include "kernels/weight_pack.hh"
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/weights.hh"
 #include "sim/trace.hh"
-#include "tune/solver.hh"
 
 namespace flcnn {
 
@@ -97,18 +95,14 @@ class FusedExecutor
     /**
      * Run subsequent pyramids under @p prec's precision mode: conv
      * tiles are staged into the mode's compute format and the mode's
-     * kernels produce the fresh region (kernels/conv_layer.hh); every
-     * other layer computes in fp32 as always. Results are bit-identical
-     * to the precision reference (nn::runRange with the same @p prec).
+     * kernels produce the fresh region (fusion/conv_row_driver.hh);
+     * every other layer computes in fp32 as always. Results are
+     * bit-identical to the precision reference (nn::runRange with the
+     * same @p prec).
      * Pass nullptr (the default state) for plain fp32. The pointed-to
      * state must outlive the executor.
      */
-    void
-    setPrecision(const NetPrecision *prec)
-    {
-        precision = prec;
-        plannedRev = -1;
-    }
+    void setPrecision(const NetPrecision *prec) { conv.setPrecision(prec); }
 
     /**
      * Opt in to the fast-math conv tier (tune/solver.hh) for
@@ -117,12 +111,7 @@ class FusedExecutor
      * Off by default; never applies to int8/fp16 precision modes,
      * which stay bit-exact regardless.
      */
-    void
-    setFastMath(bool enable)
-    {
-        fastMath = enable;
-        plannedRev = -1;
-    }
+    void setFastMath(bool enable) { conv.setFastMath(enable); }
 
     /** Stream every DRAM access of subsequent runs to @p sink
      *  (group-input reads and group-output writes; see sim/trace.hh
@@ -163,13 +152,6 @@ class FusedExecutor
         int btBaseNew = 0;   //!< global first row of strip being written
         int btWatermark = 0; //!< columns [0, watermark) hold new rows
 
-        // Staged conv-input tile for non-fp32 precision modes.
-        ConvStage stage;
-
-        // Conv plan for this layer (solver + tuned config), refreshed
-        // at the top of every run from the planner.
-        ConvPlan plan;
-
         // Fresh output of this layer for the current pyramid. Pointwise
         // layers alias the producer's buffer (freshOwner picks whose).
         Tensor fresh;
@@ -195,27 +177,17 @@ class FusedExecutor
                          Span rect_y, Span rect_x);
 
     const Network &net;
-    const NetworkWeights &weights;
     TilePlan tplan;
+    ConvRowDriver conv;         //!< runs every conv layer's plan
     std::vector<LayerState> states;
     const Tensor *groupInput = nullptr;
     Tensor *groupOutput = nullptr;
     FusedRunStats curStats;
-    WeightPackCache packCache;  //!< per-fused-layer packed conv banks
-    const NetPrecision *precision = nullptr;
-    bool fastMath = false;
     bool trackCoverage = false;
     std::string coverageMsg;
     TraceSink traceSink;
     MetricsRegistry *metrics = nullptr;
     std::string metricsPrefix;   //!< prepended to every metric scope
-    int64_t lastPackHits = 0;    //!< packCache.hits() after the last run
-    int64_t lastPackMisses = 0;  //!< packCache.misses() likewise
-    int64_t plannedRev = -1;     //!< TuneCache revision the layer plans
-                                 //!< were computed at (-1 = never);
-                                 //!< keeps steady-state runs free of
-                                 //!< planner lookups and their string
-                                 //!< allocations
 
     /** Emit one traced access when a sink is installed. */
     void

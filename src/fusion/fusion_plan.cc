@@ -1,7 +1,6 @@
 #include "fusion/fusion_plan.hh"
 
-#include <chrono>
-
+#include "common/clock.hh"
 #include "common/logging.hh"
 #include "fusion/fused_executor.hh"
 #include "fusion/line_buffer_executor.hh"
@@ -15,18 +14,6 @@
 
 namespace flcnn {
 
-namespace {
-
-double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
-
 const char *
 planEngineName(PlanEngine e)
 {
@@ -37,6 +24,19 @@ planEngineName(PlanEngine e)
       case PlanEngine::Recompute:  return "recompute";
     }
     return "?";
+}
+
+PlanEngine
+planEngineFromName(const std::string &name)
+{
+    for (PlanEngine e : {PlanEngine::Reference, PlanEngine::Fused,
+                         PlanEngine::LineBuffer, PlanEngine::Recompute}) {
+        if (name == planEngineName(e))
+            return e;
+    }
+    fatal("unknown engine '%s' (want reference | fused | linebuffer | "
+          "recompute)",
+          name.c_str());
 }
 
 const char *
@@ -211,7 +211,7 @@ FusionPlan::compile(const PlanCompileOptions &opt)
         return s;
     }
 
-    const double t0 = wallSeconds();
+    const double t0 = monotonicSeconds();
     const int first = opList.front();
     const int last = opList.back();
     const Precision mode =
@@ -267,7 +267,7 @@ FusionPlan::compile(const PlanCompileOptions &opt)
         (void)execute(zero);
     }
 
-    compileSecs = wallSeconds() - t0;
+    compileSecs = monotonicSeconds() - t0;
     if (opt.metrics) {
         opt.metrics->addCounter("plan", "compile_ok", 1);
         if (opt.engine == PlanEngine::Reference)

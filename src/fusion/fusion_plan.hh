@@ -56,9 +56,8 @@ class LineBufferExecutor;
 class RecomputeExecutor;
 class MetricsRegistry;
 
-/** Which executor a plan compiles onto. Mirrors serve::EngineKind
- *  (serve maps its enum onto this one; fusion/ cannot depend on
- *  serve/). */
+/** Which executor a plan compiles onto (also the serving runtime's
+ *  engine choice). */
 enum class PlanEngine
 {
     Reference,   //!< layer-by-layer nn::runRange (explicit choice)
@@ -68,6 +67,11 @@ enum class PlanEngine
 };
 
 const char *planEngineName(PlanEngine e);
+
+/** Parse an engine name ("reference" | "fused" | "linebuffer" |
+ *  "recompute", the planEngineName() strings); fatal()s on anything
+ *  else. */
+PlanEngine planEngineFromName(const std::string &name);
 
 /** Typed outcome of FusionPlan::compile() / check(). */
 enum class CompileStatus

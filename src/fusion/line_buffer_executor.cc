@@ -1,15 +1,12 @@
 #include "fusion/line_buffer_executor.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
+#include "common/clock.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "kernels/conv_kernels.hh"
-#include "nn/autotune_net.hh"
 #include "obs/metrics.hh"
-#include "tune/tune_cache.hh"
 
 namespace flcnn {
 
@@ -17,8 +14,8 @@ LineBufferExecutor::LineBufferExecutor(const Network &network,
                                        const NetworkWeights &w,
                                        int first_layer, int last_layer,
                                        int row_block)
-    : net(network), weights(w), first(first_layer), last(last_layer),
-      rowBlock(row_block)
+    : net(network), first(first_layer), last(last_layer),
+      rowBlock(row_block), conv(network, w, first_layer, last_layer)
 {
     FLCNN_ASSERT(first >= 0 && last < net.numLayers() && first <= last,
                  "fusion range out of bounds");
@@ -83,148 +80,29 @@ LineBufferExecutor::drain(int li, Tensor &output)
 
         const int oy0 = st.nextOut;
         if (spec.kind == LayerKind::Conv) {
-            const FilterBank &fb =
-                weights.bank(net.convSlot(first + li));
-            const int n_per_group = fb.numChannels();
-            FLCNN_ASSERT(k <= kMaxConvKernel,
-                         "conv kernel exceeds the strip row table");
-            const Precision mode =
-                precision ? precision->mode() : Precision::Fp32;
-            // Each (filter-block, b) pair owns a disjoint set of output
-            // row segments; the blocked kernel keeps every (filter,
-            // pixel) accumulator private in the (bias, n, i, j) order,
-            // so the result is bit-identical at every thread count. The
-            // ring's modular row mapping goes through the kernel's
-            // row-offset / row-index table. Non-fp32 modes keep a
-            // staged shadow of the ring, refreshed incrementally: only
-            // the ring rows (re)written since the previous staging are
-            // re-converted, so each source row is quantized exactly
-            // once per image.
-            if (mode == Precision::Int8) {
-                const int slot = net.convSlot(first + li);
-                const ActQuant &act = precision->actQuant(slot);
-                st.stage.configure(mode, in.c, cap, in.w);
-                const int fresh =
-                    std::min(st.rowsIn - st.stagedIn, cap);
-                for (int y = st.rowsIn - fresh; y < st.rowsIn;) {
-                    const int rr = y % cap;
-                    const int len =
-                        std::min(st.rowsIn - y, cap - rr);
-                    stageConvInputI8(st.stage, st.ring, act, rr,
-                                     rr + len);
-                    y += len;
-                }
-                st.stagedIn = st.rowsIn;
-                const ConvBlockKernelI8 &bk = st.plan.bkI8;
-                const PackedWeightsI8 &pw = packCache.getI8(
-                    first + li, fb, spec.groups, precision->weightScales(slot),
-                    precision->scaleId(), st.plan.cfg.mrCap);
-                const int nb = pw.numBlocks();
-                parallelFor(
-                    0, static_cast<int64_t>(nb) * batch,
-                    [&](int64_t lo, int64_t hi) {
-                        int row_idx[kMaxConvKernel];
-                        for (int64_t w = lo; w < hi; w++) {
-                            const int bi = static_cast<int>(w / batch);
-                            const int b = static_cast<int>(w % batch);
-                            const int oy = oy0 + b;
-                            for (int i = 0; i < k; i++)
-                                row_idx[i] = (oy * s + i) % cap;
-                            float *dst =
-                                st.blockBuf.data() +
-                                static_cast<size_t>(b) * row_elems +
-                                static_cast<size_t>(pw.block(bi).m0) *
-                                    out.w;
-                            convBlockRowI8(bk, pw, bi, dst, out.w,
-                                           out.w, st.stage, row_idx, 0,
-                                           act);
-                        }
-                    },
-                    st.plan.cfg.grain);
-            } else if (mode == Precision::Fp16) {
-                st.stage.configure(mode, in.c, cap, in.w);
-                const int fresh =
-                    std::min(st.rowsIn - st.stagedIn, cap);
-                for (int y = st.rowsIn - fresh; y < st.rowsIn;) {
-                    const int rr = y % cap;
-                    const int len =
-                        std::min(st.rowsIn - y, cap - rr);
-                    stageConvInputF16(st.stage, st.ring, rr, rr + len);
-                    y += len;
-                }
-                st.stagedIn = st.rowsIn;
-                const ConvBlockKernel &bk = st.plan.bk;
-                const PackedWeightsF16 &pw = packCache.getF16(
-                    first + li, fb, spec.groups, st.plan.cfg.mrCap);
-                const int nb = pw.numBlocks();
-                parallelFor(
-                    0, static_cast<int64_t>(nb) * batch,
-                    [&](int64_t lo, int64_t hi) {
-                        int row_idx[kMaxConvKernel];
-                        for (int64_t w = lo; w < hi; w++) {
-                            const int bi = static_cast<int>(w / batch);
-                            const int b = static_cast<int>(w % batch);
-                            const int oy = oy0 + b;
-                            for (int i = 0; i < k; i++)
-                                row_idx[i] = (oy * s + i) % cap;
-                            float *dst =
-                                st.blockBuf.data() +
-                                static_cast<size_t>(b) * row_elems +
-                                static_cast<size_t>(pw.block(bi).m0) *
-                                    out.w;
-                            convBlockRowF16(bk, pw, bi, dst, out.w,
-                                            out.w, st.stage, row_idx,
-                                            0);
-                        }
-                    },
-                    st.plan.cfg.grain);
-            } else {
-            const ConvBlockKernel &bk = st.plan.bk;
-            const PackedWeights &pw = packCache.get(
-                first + li, fb, spec.groups, 0, st.plan.cfg.mrCap);
-            const int nb = pw.numBlocks();
-            const int64_t ring_ch_stride =
-                static_cast<int64_t>(cap) * in.w;
-            parallelFor(
-                0, static_cast<int64_t>(nb) * batch,
-                [&](int64_t lo, int64_t hi) {
-                    int64_t row_off[kMaxConvKernel];
-                    for (int64_t w = lo; w < hi; w++) {
-                        const int bi = static_cast<int>(w / batch);
-                        const int b = static_cast<int>(w % batch);
-                        const PackedBlock &blk = pw.block(bi);
-                        const int oy = oy0 + b;
-                        for (int i = 0; i < k; i++) {
-                            row_off[i] =
-                                static_cast<int64_t>((oy * s + i) % cap) *
-                                in.w;
-                        }
-                        float *dst = st.blockBuf.data() +
-                                     static_cast<size_t>(b) * row_elems +
-                                     static_cast<size_t>(blk.m0) * out.w;
-                        for (int f = 0; f < blk.lanes; f++) {
-                            const float bias = pw.bias(blk.m0 + f);
-                            float *d = dst + static_cast<size_t>(f) *
-                                                 out.w;
-                            for (int ox = 0; ox < out.w; ox++)
-                                d[ox] = bias;
-                        }
-                        bk.run(blk.lanes, dst, out.w, out.w,
-                               st.ring.rowPtr(pw.nBase(bi), 0, 0),
-                               ring_ch_stride, row_off, pw.panel(bi),
-                               n_per_group);
-                    }
-                },
-                st.plan.cfg.grain);
-            }
-            int64_t taps = static_cast<int64_t>(n_per_group) * k * k;
-            curStats.ops.mults += taps * row_elems * batch;
-            curStats.ops.adds += taps * row_elems * batch;
+            // The ring's modular row mapping goes through the driver's
+            // row table. Non-fp32 modes keep a staged shadow of the
+            // ring, refreshed incrementally: only the ring rows
+            // (re)written since the previous staging are re-converted,
+            // so each source row is quantized exactly once per image.
+            const int64_t macs = conv.run(
+                li, {.src = &st.ring,
+                     .ringRows = cap,
+                     .srcRow0 = oy0 * s,
+                     .x0 = 0,
+                     .rows = batch,
+                     .count = out.w,
+                     .dst = st.blockBuf.data(),
+                     .chStride = out.w,
+                     .rowStride = row_elems,
+                     .stageBegin = std::max(st.stagedIn, st.rowsIn - cap),
+                     .stageEnd = st.rowsIn});
+            st.stagedIn = st.rowsIn;
+            curStats.ops.mults += macs;
+            curStats.ops.adds += macs;
             if (metrics) {
-                layerOps[static_cast<size_t>(li)].mults +=
-                    taps * row_elems * batch;
-                layerOps[static_cast<size_t>(li)].adds +=
-                    taps * row_elems * batch;
+                layerOps[static_cast<size_t>(li)].mults += macs;
+                layerOps[static_cast<size_t>(li)].adds += macs;
             }
         } else {
             // Disjoint (b, ch) output rows. One pass over the output
@@ -426,32 +304,16 @@ LineBufferExecutor::runInto(const Tensor &input, Tensor *out,
     Tensor &output = *out;
     curStats = LineBufferStats{};
     curStats.bufferBytes = bufferBytes();
-    const Precision runMode =
-        precision ? precision->mode() : Precision::Fp32;
-    // Re-plan only when the tune cache changed (planner lookups build
-    // shape-key strings — a heap allocation the steady-state serving
-    // path must not pay).
-    const int64_t tuneRev = TuneCache::global().revision();
-    const bool replan = tuneRev != plannedRev;
-    plannedRev = tuneRev;
-    for (size_t i = 0; i < states.size(); i++) {
-        LayerState &st = states[i];
+    conv.beginRun();
+    for (LayerState &st : states) {
         st.rowsIn = 0;
         st.nextOut = 0;
         st.stagedIn = 0;
-        const int layer = first + static_cast<int>(i);
-        if (replan && net.layer(layer).kind == LayerKind::Conv) {
-            st.plan = planConv(convLayerQuery(
-                net, layer, runMode,
-                fastMath && runMode == Precision::Fp32));
-        }
     }
     double t_run0 = 0.0;
     if (metrics) {
         layerOps.assign(states.size(), OpCount{});
-        t_run0 = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now().time_since_epoch())
-                     .count();
+        t_run0 = monotonicSeconds();
     }
 
     const Shape &in = input.shape();
@@ -488,18 +350,8 @@ LineBufferExecutor::runInto(const Tensor &input, Tensor *out,
                     ? static_cast<double>(states[i].ring.shape().bytes())
                     : 0.0);
         }
-        metrics->addGauge(
-            "", "wall_seconds",
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                    .count() -
-                t_run0);
-        metrics->addCounter("", "pack_hits",
-                            packCache.hits() - lastPackHits);
-        metrics->addCounter("", "pack_misses",
-                            packCache.misses() - lastPackMisses);
-        lastPackHits = packCache.hits();
-        lastPackMisses = packCache.misses();
+        metrics->addGauge("", "wall_seconds", monotonicSeconds() - t_run0);
+        conv.recordPackCounters(*metrics, "");
     }
 
     if (stats)

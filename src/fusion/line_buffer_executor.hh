@@ -22,13 +22,11 @@
 #include <vector>
 
 #include "common/opcount.hh"
-#include "kernels/conv_layer.hh"
-#include "kernels/weight_pack.hh"
+#include "fusion/conv_row_driver.hh"
 #include "nn/network.hh"
 #include "nn/precision.hh"
 #include "nn/weights.hh"
 #include "tensor/tensor.hh"
-#include "tune/solver.hh"
 
 namespace flcnn {
 
@@ -77,28 +75,18 @@ class LineBufferExecutor
     /**
      * Run subsequent rows under @p prec's precision mode: conv rings
      * are staged into the mode's compute format before each drain and
-     * the mode's kernels emit the block (kernels/conv_layer.hh).
+     * the mode's kernels emit the block (fusion/conv_row_driver.hh).
      * Results are bit-identical to the precision reference. Pass
      * nullptr for plain fp32. The state must outlive the executor.
      */
-    void
-    setPrecision(const NetPrecision *prec)
-    {
-        precision = prec;
-        plannedRev = -1;
-    }
+    void setPrecision(const NetPrecision *prec) { conv.setPrecision(prec); }
 
     /**
      * Opt in to the fast-math conv tier (tune/solver.hh) for
      * subsequent fp32 runs: FMA kernels, ULP-bounded rather than
      * bit-identical. Off by default; int8/fp16 modes stay exact.
      */
-    void
-    setFastMath(bool enable)
-    {
-        fastMath = enable;
-        plannedRev = -1;
-    }
+    void setFastMath(bool enable) { conv.setFastMath(enable); }
 
     /**
      * Record per-fused-layer breakdowns of subsequent runs into @p m
@@ -119,9 +107,7 @@ class LineBufferExecutor
         int nextOut = 0;    //!< next output row to emit
         std::vector<float> rowBuf;   //!< C x W staging for one out row
         std::vector<float> blockBuf; //!< C x B x W staging for a block
-        ConvStage stage;  //!< staged ring for non-fp32 conv modes
-        int stagedIn = 0; //!< input rows already staged into `stage`
-        ConvPlan plan;    //!< conv plan, refreshed at each run() start
+        int stagedIn = 0;   //!< input rows the driver has staged
     };
 
     /** Deliver input row @p y to fused layer @p li; cascade downstream. */
@@ -131,23 +117,16 @@ class LineBufferExecutor
     void drain(int li, Tensor &output);
 
     const Network &net;
-    const NetworkWeights &weights;
     int first, last;
     int rowBlock;
+    ConvRowDriver conv;  //!< runs every conv layer's plan
     std::vector<LayerState> states;
     LineBufferStats curStats;
-    WeightPackCache packCache;  //!< per-fused-layer packed conv banks
-    const NetPrecision *precision = nullptr;
-    bool fastMath = false;
     MetricsRegistry *metrics = nullptr;
     std::vector<OpCount> layerOps;  //!< per-layer tally (metrics only)
     std::vector<float> inputRow;    //!< C x W staging for input rows,
                                     //!< reused across runs (keeps the
                                     //!< serving hot path allocation-free)
-    int64_t lastPackHits = 0;
-    int64_t lastPackMisses = 0;
-    int64_t plannedRev = -1;  //!< TuneCache revision of the layer plans
-                              //!< (-1 = never planned)
 };
 
 } // namespace flcnn

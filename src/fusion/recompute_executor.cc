@@ -1,39 +1,24 @@
 #include "fusion/recompute_executor.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
+#include "common/clock.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "kernels/conv_kernels.hh"
-#include "nn/autotune_net.hh"
 #include "obs/metrics.hh"
-#include "tune/tune_cache.hh"
 
 namespace flcnn {
 
-namespace {
-
-double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
-
 RecomputeExecutor::RecomputeExecutor(const Network &network,
                                      const NetworkWeights &w, TilePlan plan)
-    : net(network), weights(w), tplan(std::move(plan))
+    : net(network), tplan(std::move(plan)),
+      conv(network, w, tplan.firstLayer(), tplan.lastLayer())
 {
     const int n = tplan.numFusedLayers();
     tiles.reserve(static_cast<size_t>(n));
     tileY.assign(static_cast<size_t>(n), Span{0, 0});
     tileX.assign(static_cast<size_t>(n), Span{0, 0});
-    stages.resize(static_cast<size_t>(n));
     int64_t working = 0;
     for (int li = 0; li < n; li++) {
         const LayerGeom &g = tplan.geom(li);
@@ -78,112 +63,23 @@ RecomputeExecutor::computeLayer(int li, int r, int c, const Tensor &input)
 
     switch (spec.kind) {
       case LayerKind::Conv: {
-        const FilterBank &fb = weights.bank(net.convSlot(g.layerIdx));
-        const int oh = oy.width();
-        const int64_t plane = static_cast<int64_t>(out.shape().h) *
-                              out.shape().w;
-        const int x0 = ox.begin * spec.stride - sx.begin;
-        const Precision mode =
-            precision ? precision->mode() : Precision::Fp32;
-        // One (filter-block, row) strip per work item; the blocked
-        // kernel keeps each (filter, pixel) accumulator private in
-        // convPoint's (bias, n, i, j) order. Op counts are tallied
-        // analytically below so the parallel region stays race-free.
-        // Non-fp32 modes stage the source-tile rows this pyramid reads
-        // (serial, elementwise, idempotent) and run the mode's drivers
-        // against the shared staging — same precision state as the
-        // precision reference, so bit-exactness carries over.
-        if (mode != Precision::Fp32) {
-            const int slot = net.convSlot(g.layerIdx);
-            ConvStage &stage = stages[static_cast<size_t>(li)];
-            const Shape &ss = src.shape();
-            stage.configure(mode, ss.c, ss.h, ss.w);
-            const int r0 = oy.begin * spec.stride - sy.begin;
-            const int r1 = std::min(
-                (oy.end - 1) * spec.stride - sy.begin + spec.kernel,
-                ss.h);
-            if (mode == Precision::Int8) {
-                const ActQuant &act = precision->actQuant(slot);
-                stageConvInputI8(stage, src, act, r0, r1);
-                const ConvPlan &plan = plans[static_cast<size_t>(li)];
-                const ConvBlockKernelI8 &bk = plan.bkI8;
-                const PackedWeightsI8 &pw = packCache.getI8(
-                    g.layerIdx, fb, spec.groups, precision->weightScales(slot),
-                    precision->scaleId(), plan.cfg.mrCap);
-                const int nb = pw.numBlocks();
-                parallelFor(
-                    0, static_cast<int64_t>(nb) * oh,
-                    [&](int64_t wlo, int64_t whi) {
-                        for (int64_t w = wlo; w < whi; w++) {
-                            const int bi = static_cast<int>(w / oh);
-                            const int gy =
-                                oy.begin + static_cast<int>(w % oh);
-                            int row_idx[kMaxConvKernel];
-                            for (int i = 0; i < bk.k; i++)
-                                row_idx[i] =
-                                    gy * spec.stride - sy.begin + i;
-                            convBlockRowI8(
-                                bk, pw, bi,
-                                &out(pw.block(bi).m0, gy - oy.begin, 0),
-                                plane, ox.width(), stage, row_idx, x0,
-                                act);
-                        }
-                    },
-                    plan.cfg.grain);
-            } else {
-                stageConvInputF16(stage, src, r0, r1);
-                const ConvPlan &plan = plans[static_cast<size_t>(li)];
-                const ConvBlockKernel &bk = plan.bk;
-                const PackedWeightsF16 &pw = packCache.getF16(
-                    g.layerIdx, fb, spec.groups, plan.cfg.mrCap);
-                const int nb = pw.numBlocks();
-                parallelFor(
-                    0, static_cast<int64_t>(nb) * oh,
-                    [&](int64_t wlo, int64_t whi) {
-                        for (int64_t w = wlo; w < whi; w++) {
-                            const int bi = static_cast<int>(w / oh);
-                            const int gy =
-                                oy.begin + static_cast<int>(w % oh);
-                            int row_idx[kMaxConvKernel];
-                            for (int i = 0; i < bk.k; i++)
-                                row_idx[i] =
-                                    gy * spec.stride - sy.begin + i;
-                            convBlockRowF16(
-                                bk, pw, bi,
-                                &out(pw.block(bi).m0, gy - oy.begin, 0),
-                                plane, ox.width(), stage, row_idx, x0);
-                        }
-                    },
-                    plan.cfg.grain);
-            }
-        } else {
-            const ConvPlan &plan = plans[static_cast<size_t>(li)];
-            const ConvBlockKernel &bk = plan.bk;
-            const PackedWeights &pw = packCache.get(
-                g.layerIdx, fb, spec.groups, 0, plan.cfg.mrCap);
-            const int nb = pw.numBlocks();
-            parallelFor(
-                0, static_cast<int64_t>(nb) * oh,
-                [&](int64_t wlo, int64_t whi) {
-                    for (int64_t w = wlo; w < whi; w++) {
-                        const int bi = static_cast<int>(w / oh);
-                        const int gy =
-                            oy.begin + static_cast<int>(w % oh);
-                        convBlockRowTensor(
-                            bk, pw, bi,
-                            &out(pw.block(bi).m0, gy - oy.begin, 0),
-                            plane, ox.width(), src,
-                            gy * spec.stride - sy.begin, x0);
-                    }
-                },
-                plan.cfg.grain);
-        }
-        int64_t taps = static_cast<int64_t>(fb.numChannels()) *
-                       spec.kernel * spec.kernel;
-        int64_t points =
-            static_cast<int64_t>(g.outPlane.c) * oh * ox.width();
-        curStats.ops.mults += taps * points;
-        curStats.ops.adds += taps * points;
+        const int r0 = oy.begin * spec.stride - sy.begin;
+        const int64_t macs = conv.run(
+            li, {.src = &src,
+                 .srcRow0 = r0,
+                 .x0 = ox.begin * spec.stride - sx.begin,
+                 .rows = oy.width(),
+                 .count = ox.width(),
+                 .dst = out.data(),
+                 .chStride = static_cast<int64_t>(out.shape().h) *
+                             out.shape().w,
+                 .rowStride = out.shape().w,
+                 .stageBegin = r0,
+                 .stageEnd = std::min((oy.end - 1) * spec.stride -
+                                          sy.begin + spec.kernel,
+                                      src.shape().h)});
+        curStats.ops.mults += macs;
+        curStats.ops.adds += macs;
         break;
       }
       case LayerKind::Pool: {
@@ -316,24 +212,7 @@ RecomputeExecutor::runInto(const Tensor &input, Tensor *out,
     const LayerGeom &g0 = tplan.geom(0);
     const int n = tplan.numFusedLayers();
 
-    // Refresh conv plans only when the tune cache changed (planner
-    // lookups build shape-key strings — a heap allocation the
-    // steady-state serving path must not pay).
-    const Precision runMode =
-        precision ? precision->mode() : Precision::Fp32;
-    const int64_t tuneRev = TuneCache::global().revision();
-    if (tuneRev != plannedRev) {
-        plannedRev = tuneRev;
-        plans.assign(static_cast<size_t>(n), ConvPlan{});
-        for (int li = 0; li < n; li++) {
-            const LayerGeom &g = tplan.geom(li);
-            if (net.layer(g.layerIdx).kind == LayerKind::Conv) {
-                plans[static_cast<size_t>(li)] = planConv(convLayerQuery(
-                    net.layer(g.layerIdx), g.inPlane, runMode,
-                    fastMath && runMode == Precision::Fp32));
-            }
-        }
-    }
+    conv.beginRun();
 
     std::vector<double> layerWall;
     std::vector<int64_t> layerMults, layerAdds, layerCompares;
@@ -370,9 +249,9 @@ RecomputeExecutor::runInto(const Tensor &input, Tensor *out,
                 const int64_t mul0 = curStats.ops.mults;
                 const int64_t add0 = curStats.ops.adds;
                 const int64_t cmp0 = curStats.ops.compares;
-                const double t0 = wallSeconds();
+                const double t0 = monotonicSeconds();
                 computeLayer(li, r, c, input);
-                layerWall[i] += wallSeconds() - t0;
+                layerWall[i] += monotonicSeconds() - t0;
                 layerMults[i] += curStats.ops.mults - mul0;
                 layerAdds[i] += curStats.ops.adds - add0;
                 layerCompares[i] += curStats.ops.compares - cmp0;
@@ -418,12 +297,7 @@ RecomputeExecutor::runInto(const Tensor &input, Tensor *out,
                 static_cast<double>(tiles[i].shape().bytes()));
         }
         metrics->addCounter("", "pyramids", curStats.pyramids);
-        metrics->addCounter("", "pack_hits",
-                            packCache.hits() - lastPackHits);
-        metrics->addCounter("", "pack_misses",
-                            packCache.misses() - lastPackMisses);
-        lastPackHits = packCache.hits();
-        lastPackMisses = packCache.misses();
+        conv.recordPackCounters(*metrics, "");
     }
 
     if (stats)

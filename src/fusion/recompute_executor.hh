@@ -18,13 +18,11 @@
 #include <vector>
 
 #include "common/opcount.hh"
+#include "fusion/conv_row_driver.hh"
 #include "fusion/plan.hh"
-#include "kernels/conv_layer.hh"
-#include "kernels/weight_pack.hh"
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/weights.hh"
-#include "tune/solver.hh"
 
 namespace flcnn {
 
@@ -63,28 +61,19 @@ class RecomputeExecutor
     /**
      * Run subsequent pyramids under @p prec's precision mode: conv
      * source tiles are staged into the mode's compute format and the
-     * mode's kernels produce the output tile (kernels/conv_layer.hh).
+     * mode's kernels produce the output tile
+     * (fusion/conv_row_driver.hh).
      * Results are bit-identical to the precision reference. Pass
      * nullptr for plain fp32. The state must outlive the executor.
      */
-    void
-    setPrecision(const NetPrecision *prec)
-    {
-        precision = prec;
-        plannedRev = -1;
-    }
+    void setPrecision(const NetPrecision *prec) { conv.setPrecision(prec); }
 
     /**
      * Opt in to the fast-math conv tier (tune/solver.hh) for
      * subsequent fp32 runs: FMA kernels, ULP-bounded rather than
      * bit-identical. Off by default; int8/fp16 modes stay exact.
      */
-    void
-    setFastMath(bool enable)
-    {
-        fastMath = enable;
-        plannedRev = -1;
-    }
+    void setFastMath(bool enable) { conv.setFastMath(enable); }
 
     /** Record per-fused-layer breakdowns of subsequent runs into @p m
      *  (same scopes and names as FusedExecutor::setMetrics). Pass
@@ -95,27 +84,18 @@ class RecomputeExecutor
     void computeLayer(int li, int r, int c, const Tensor &input);
 
     const Network &net;
-    const NetworkWeights &weights;
     TilePlan tplan;
+    ConvRowDriver conv;  //!< runs every conv layer's plan
 
     /** tiles[li]: output tile of fused layer li for the current pyramid,
      *  anchored at (outY[r].begin, outX[c].begin). tiles[-1] conceptually
      *  is the loaded input tile, stored in inTile. */
     std::vector<Tensor> tiles;
     std::vector<Span> tileY, tileX;
-    std::vector<ConvStage> stages;  //!< staged conv inputs (non-fp32)
-    std::vector<ConvPlan> plans;    //!< conv plans, refreshed per run
     Tensor inTile;
     Span inTileY, inTileX;
     RecomputeRunStats curStats;
-    WeightPackCache packCache;  //!< per-fused-layer packed conv banks
-    const NetPrecision *precision = nullptr;
-    bool fastMath = false;
     MetricsRegistry *metrics = nullptr;
-    int64_t lastPackHits = 0;
-    int64_t lastPackMisses = 0;
-    int64_t plannedRev = -1;  //!< TuneCache revision of `plans`
-                              //!< (-1 = never planned)
 };
 
 } // namespace flcnn

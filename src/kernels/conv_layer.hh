@@ -3,10 +3,13 @@
  * Precision-mode conv staging and row drivers.
  *
  * The int8 and fp16 modes are conv-boundary transformations: before a
- * conv layer consumes an fp32 source buffer (a reference tensor, a
- * fused tile, a line-buffer ring, a recompute tile), the rows it will
- * read are *staged* — converted elementwise into the mode's compute
- * format — and the strip kernels then run against the staged image.
+ * conv layer consumes an fp32 source buffer, the rows it will read are
+ * *staged* — converted elementwise into the mode's compute format —
+ * and the strip kernels then run against the staged image. There are
+ * two consumers: the layer-by-layer reference (nn/reference.cc), and
+ * fusion/conv_row_driver.hh, which stages and runs every conv block of
+ * the three fused executors (pyramid tiles, recompute tiles and
+ * line-buffer rings alike).
  * ConvStage owns that staging buffer; the convBlockRow* drivers wrap
  * one (filter-block, output-row) kernel invocation plus the mode's
  * epilogue, mirroring convBlockRowTensor() for the fp32 path.
@@ -18,6 +21,8 @@
  * Row addressing is an explicit K-entry row-index table (like the
  * kernels' row-offset tables) so the same drivers serve linear
  * tensors, tile buffers, and the line-buffer executor's modular rings.
+ * convBlockRowTensor() (kernels/weight_pack.hh) takes the same table
+ * for the fp32 path.
  *
  * Determinism: staging is scalar and elementwise (one rounding per
  * element, no accumulation), the int8 kernels produce exact i32 sums,

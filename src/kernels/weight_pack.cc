@@ -213,10 +213,23 @@ convBlockRowTensor(const ConvBlockKernel &bk, const PackedWeights &pw,
                    int bi, float *dst, int64_t dst_stride, int count,
                    const Tensor &in, int y0, int x0)
 {
+    FLCNN_ASSERT(bk.k <= kMaxConvKernel, "kernel exceeds row-index table");
+    int row_idx[kMaxConvKernel];
+    for (int i = 0; i < bk.k; i++)
+        row_idx[i] = y0 + i;
+    convBlockRowTensor(bk, pw, bi, dst, dst_stride, count, in, row_idx, x0);
+}
+
+void
+convBlockRowTensor(const ConvBlockKernel &bk, const PackedWeights &pw,
+                   int bi, float *dst, int64_t dst_stride, int count,
+                   const Tensor &in, const int *row_idx, int x0)
+{
     FLCNN_ASSERT(bk.k == pw.kernel(), "kernel mismatch with packed bank");
     const Shape &s = in.shape();
     int64_t row_off[kMaxConvKernel];
-    linearRowOffsets(row_off, bk.k, y0, s.w, x0);
+    for (int i = 0; i < bk.k; i++)
+        row_off[i] = static_cast<int64_t>(row_idx[i]) * s.w + x0;
     const PackedBlock &b = pw.block(bi);
     for (int f = 0; f < b.lanes; f++) {
         const float bias = pw.bias(b.m0 + f);

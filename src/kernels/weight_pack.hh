@@ -566,6 +566,14 @@ void convBlockRowTensor(const ConvBlockKernel &bk,
                         int64_t dst_stride, int count, const Tensor &in,
                         int y0, int x0);
 
+/** As above, but kernel row i reads row row_idx[i] of @p in — the
+ *  explicit row table convBlockRowI8/F16 take, so a modular ring
+ *  works as well as a linear tensor. */
+void convBlockRowTensor(const ConvBlockKernel &bk,
+                        const PackedWeights &pw, int bi, float *dst,
+                        int64_t dst_stride, int count, const Tensor &in,
+                        const int *row_idx, int x0);
+
 } // namespace flcnn
 
 #endif // FLCNN_KERNELS_WEIGHT_PACK_HH

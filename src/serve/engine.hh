@@ -35,24 +35,8 @@
 
 namespace flcnn {
 
-/** Which executor realizes the model inside a serving worker. */
-enum class EngineKind
-{
-    Reference,   //!< layer-by-layer nn::runRange (golden baseline)
-    Fused,       //!< FusedExecutor (reuse model, pyramid dataflow)
-    LineBuffer,  //!< LineBufferExecutor (row-streaming dataflow)
-    Recompute,   //!< RecomputeExecutor (no reuse buffers)
-};
-
-const char *engineKindName(EngineKind k);
-
-/** Parse an engine name ("reference" | "fused" | "linebuffer" |
- *  "recompute"); fatal()s on anything else. */
-EngineKind engineKindFromName(const std::string &name);
-
-/** The fusion-plan engine realizing an EngineKind (serve's enum maps
- *  onto fusion's — fusion/ cannot depend on serve/). */
-PlanEngine planEngineForKind(EngineKind k);
+/** Older spelling of PlanEngine, kept for existing callers. */
+using EngineKind = PlanEngine;
 
 /** One model as registered with the server. The referenced network
  *  and weights must outlive every engine built from the spec. */
@@ -97,7 +81,7 @@ struct ModelSpec
 class ServeEngine
 {
   public:
-    ServeEngine(const ModelSpec &spec, EngineKind kind);
+    ServeEngine(const ModelSpec &spec, PlanEngine kind);
 
     /** Evaluate one image; bit-identical to the reference range.
      *  Compiles the plan lazily (counted) if warmup() was skipped. */
@@ -111,7 +95,7 @@ class ServeEngine
 
     /** Whether runInto() is available (all executor-backed engines;
      *  the Reference baseline is exempt from the zero-copy path). */
-    bool producesInto() const { return knd != EngineKind::Reference; }
+    bool producesInto() const { return knd != PlanEngine::Reference; }
 
     /** Output shape of the served layer range. */
     Shape outShape() const { return mspec.net->outShape(mspec.lastLayer); }
@@ -124,7 +108,7 @@ class ServeEngine
      *  fatal()s with the typed status if the plan does not compile. */
     void warmup();
 
-    EngineKind kind() const { return knd; }
+    PlanEngine kind() const { return knd; }
     const ModelSpec &spec() const { return mspec; }
 
     /** The engine's pinned plan (compiled after warmup() or the first
@@ -139,7 +123,7 @@ class ServeEngine
     void compileNow();
 
     ModelSpec mspec;
-    EngineKind knd;
+    PlanEngine knd;
     FusionPlan fplan;
     int lazyCount = 0;
 };

@@ -1,7 +1,5 @@
 #include "serve/request.hh"
 
-#include <chrono>
-
 #include "common/logging.hh"
 
 namespace flcnn {
@@ -66,14 +64,6 @@ RequestHandle::complete(RequestStatus status, Tensor result,
         batchN = batch_size;
     }
     cv.notify_all();
-}
-
-double
-monotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 } // namespace flcnn

@@ -19,6 +19,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/clock.hh"
 #include "serve/arena.hh"
 #include "tensor/tensor.hh"
 
@@ -129,9 +130,6 @@ struct QueuedRequest
     double submitTime = 0.0; //!< monotonicSeconds() at admission
     ArenaLease inputLease;   //!< slot `input` views; released post-run
 };
-
-/** Steady-clock seconds (the serving runtime's shared time base). */
-double monotonicSeconds();
 
 } // namespace flcnn
 

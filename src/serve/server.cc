@@ -62,7 +62,7 @@ InferenceServer::addModel(const std::string &name, const Network &net,
     auto plan = std::make_shared<FusionPlan>(net, weights);
     plan->addRange(first_layer, last_layer);
     PlanCompileOptions popt;
-    popt.engine = planEngineForKind(cfg.engine);
+    popt.engine = cfg.engine;
     popt.tip = cfg.tip;
     popt.precision = precision;
     popt.fastMath = fast_math;
@@ -70,7 +70,7 @@ InferenceServer::addModel(const std::string &name, const Network &net,
     if (st != CompileStatus::Ok) {
         fatal("model '%s': fusion plan rejected for the %s engine "
               "(%s)",
-              name.c_str(), engineKindName(cfg.engine),
+              name.c_str(), planEngineName(cfg.engine),
               plan->diagnostic().c_str());
     }
     spec.plan = std::move(plan);

@@ -11,6 +11,7 @@
 #include "common/thread_pool.hh"
 #include "fusion/fused_executor.hh"
 #include "fusion/plan.hh"
+#include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
 #include "tensor/compare.hh"
@@ -260,38 +261,73 @@ class ScopedThreads
     ~ScopedThreads() { ThreadPool::setGlobalThreads(0); }
 };
 
+/** Fused-executor output at every (precision, thread count) against
+ *  the serial precision reference. */
+void
+expectBitExactEveryPrecisionAndThreadCount(const Network &net, int tip,
+                                           uint64_t seed)
+{
+    Rng wrng(seed);
+    NetworkWeights weights(net, wrng);
+    Tensor input(net.inputShape());
+    Rng irng(seed + 1);
+    input.fillRandom(irng);
+    const int last = net.numLayers() - 1;
+
+    for (Precision mode :
+         {Precision::Fp32, Precision::Int8, Precision::Fp16}) {
+        const NetPrecision prec = NetPrecision::calibrate(net, weights, mode);
+        Tensor ref;
+        {
+            ScopedThreads serial(1);
+            ref = runRange(net, weights, input, 0, last, &prec);
+        }
+        for (int threads : {1, 2, 8}) {
+            ScopedThreads scope(threads);
+            FusedExecutor exec(net, weights,
+                               TilePlan(net, 0, last, tip, tip));
+            exec.setPrecision(&prec);
+            Tensor fused = exec.run(input);
+            CompareResult cmp = compareTensors(ref, fused);
+            ASSERT_TRUE(cmp.match)
+                << net.name() << " " << precisionName(mode) << " tip="
+                << tip << " threads=" << threads << ": " << cmp.str();
+        }
+    }
+}
+
 TEST(FusedExecutor, BitExactAcrossThreadCounts)
 {
     // The pyramid executor threads each window's conv and pool stages
     // across filter blocks and rows; disjoint writes plus the blocked
     // kernel's private accumulators make the output invariant to the
-    // pool width — bitwise, against a serial reference.
+    // pool width — bitwise, against a serial reference, in every
+    // precision mode.
     Network net("vgg-threads", Shape{3, 36, 36});
     net.addConvBlock("c11", 5, 3, 1, 1);
     net.addConvBlock("c12", 4, 3, 1, 1);
     net.addMaxPool("p1", 2, 2);
     net.addConvBlock("c21", 6, 3, 1, 1);
+    expectBitExactEveryPrecisionAndThreadCount(net, 4, 91);
 
-    Rng wrng(91);
-    NetworkWeights weights(net, wrng);
-    Tensor input(net.inputShape());
-    Rng irng(92);
-    input.fillRandom(irng);
-
-    Tensor ref;
-    {
-        ScopedThreads serial(1);
-        ref = runRange(net, weights, input, 0, net.numLayers() - 1);
-    }
-    for (int threads : {1, 2, 8}) {
-        ScopedThreads scope(threads);
-        FusedExecutor exec(
-            net, weights,
-            TilePlan(net, 0, net.numLayers() - 1, 4, 4));
-        Tensor fused = exec.run(input);
-        CompareResult cmp = compareTensors(ref, fused);
-        ASSERT_TRUE(cmp.match)
-            << "threads=" << threads << ": " << cmp.str();
+    // Strided and wide kernels at tips > 1: int8/fp16 tiles are staged
+    // from a row offset inside the tile, not from its first row.
+    uint64_t seed = 100;
+    for (int stride : {1, 2, 4}) {
+        for (int kernel : {1, 3, 5, 11}) {
+            for (int tip : {1, 2, 3}) {
+                seed += 2;
+                Network g("grid-s" + std::to_string(stride) + "k" +
+                              std::to_string(kernel),
+                          Shape{3, 29, 27});
+                g.add(LayerSpec::padding("pad", 1));
+                g.add(LayerSpec::conv("conv", 5, kernel, stride));
+                g.add(LayerSpec::relu("relu"));
+                g.add(LayerSpec::conv("conv2", 4, 3, 1));
+                g.add(LayerSpec::pool("pool", 2, 1, PoolMode::Max));
+                expectBitExactEveryPrecisionAndThreadCount(g, tip, seed);
+            }
+        }
     }
 }
 

@@ -64,6 +64,7 @@ TEST(FusionPlan, CompileExecuteMatchesRunRangeEveryEngine)
     for (PlanEngine e : {PlanEngine::Reference, PlanEngine::Fused,
                          PlanEngine::LineBuffer, PlanEngine::Recompute}) {
         SCOPED_TRACE(planEngineName(e));
+        EXPECT_EQ(planEngineFromName(planEngineName(e)), e);
         FusionPlan plan(net, w);
         plan.addRange(0, last);
         PlanCompileOptions opt;

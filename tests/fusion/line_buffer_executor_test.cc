@@ -9,6 +9,7 @@
 #include "common/thread_pool.hh"
 #include "fusion/fused_executor.hh"
 #include "fusion/line_buffer_executor.hh"
+#include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
 #include "tensor/compare.hh"
@@ -143,6 +144,9 @@ TEST(LineBufferExecutor, RowBlockingGrowsBuffers)
     EXPECT_EQ(four.bufferBytes(), 3LL * 6 * 18 * 4);
 }
 
+const Precision kAllPrecisions[] = {Precision::Fp32, Precision::Int8,
+                                    Precision::Fp16};
+
 /** RAII: run a scope at a fixed global thread count, then restore the
  *  default so other tests are unaffected. */
 class ScopedThreads
@@ -156,8 +160,11 @@ TEST(LineBufferExecutor, DifferentialSweepBitExactAcrossThreadCounts)
 {
     // The determinism contract of the thread pool, proven end to end:
     // a Pad -> Conv -> ReLU -> LRN -> Pool chain over the full
-    // stride / kernel / row-block grid produces outputs bit-identical
-    // to the single-threaded reference at every thread count.
+    // stride / kernel / row-block / precision grid produces outputs
+    // bit-identical to the single-threaded precision reference at every
+    // thread count. Row blocks > 1 and strides > 1 make the ring wrap
+    // mid-image, so int8/fp16 also exercise the incremental staging of
+    // wrapped ring rows.
     const int hw = ThreadPool::defaultThreads();
     uint64_t seed = 0;
     for (int stride : {1, 2, 4}) {
@@ -180,23 +187,30 @@ TEST(LineBufferExecutor, DifferentialSweepBitExactAcrossThreadCounts)
                 Rng irng(seed * 104729 + 2);
                 input.fillRandom(irng);
 
-                Tensor ref;
-                {
-                    ScopedThreads serial(1);
-                    ref = runRange(net, weights, input, 0,
-                                   net.numLayers() - 1);
-                }
-                for (int threads : {1, 2, 4, hw}) {
-                    ScopedThreads scope(threads);
-                    LineBufferExecutor exec(net, weights, 0,
-                                            net.numLayers() - 1,
-                                            row_block);
-                    Tensor out = exec.run(input);
-                    CompareResult cmp = compareTensors(ref, out);
-                    ASSERT_TRUE(cmp.match)
-                        << "stride=" << stride << " kernel=" << kernel
-                        << " rowBlock=" << row_block
-                        << " threads=" << threads << ": " << cmp.str();
+                for (Precision mode : kAllPrecisions) {
+                    const NetPrecision prec =
+                        NetPrecision::calibrate(net, weights, mode);
+                    Tensor ref;
+                    {
+                        ScopedThreads serial(1);
+                        ref = runRange(net, weights, input, 0,
+                                       net.numLayers() - 1, &prec);
+                    }
+                    for (int threads : {1, 2, 4, hw}) {
+                        ScopedThreads scope(threads);
+                        LineBufferExecutor exec(net, weights, 0,
+                                                net.numLayers() - 1,
+                                                row_block);
+                        exec.setPrecision(&prec);
+                        Tensor out = exec.run(input);
+                        CompareResult cmp = compareTensors(ref, out);
+                        ASSERT_TRUE(cmp.match)
+                            << precisionName(mode) << " stride=" << stride
+                            << " kernel=" << kernel
+                            << " rowBlock=" << row_block
+                            << " threads=" << threads << ": "
+                            << cmp.str();
+                    }
                 }
             }
         }

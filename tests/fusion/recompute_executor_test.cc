@@ -9,6 +9,7 @@
 
 #include "fusion/fused_executor.hh"
 #include "fusion/recompute_executor.hh"
+#include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
 #include "tensor/compare.hh"
@@ -24,22 +25,25 @@ struct RunResult
 
 RunResult
 runRecompute(const Network &net, int first, int last, uint64_t seed,
-             int tip = 1)
+             int tip = 1, Precision mode = Precision::Fp32)
 {
     Rng wrng(seed);
     NetworkWeights weights(net, wrng);
     Tensor input(net.inShape(first));
     Rng irng(seed ^ 0x77);
     input.fillRandom(irng);
+    const NetPrecision prec = NetPrecision::calibrate(net, weights, mode);
 
     RecomputeExecutor exec(net, weights, TilePlan(net, first, last, tip,
                                                   tip));
+    exec.setPrecision(&prec);
     RunResult res{Tensor{}, {}};
     res.out = exec.run(input, &res.stats);
 
-    Tensor ref = runRange(net, weights, input, first, last);
+    Tensor ref = runRange(net, weights, input, first, last, &prec);
     CompareResult cmp = compareTensors(ref, res.out);
-    EXPECT_TRUE(cmp.match) << net.name() << ": " << cmp.str();
+    EXPECT_TRUE(cmp.match) << net.name() << " " << precisionName(mode)
+                           << " tip=" << tip << ": " << cmp.str();
     return res;
 }
 
@@ -136,7 +140,11 @@ TEST_P(RecomputeRandom, MatchesReferenceOnRandomNetworks)
     const uint64_t seed = static_cast<uint64_t>(GetParam());
     Rng rng(seed * 31337 + 5);
     Network net = randomFusableNet(rng);
-    runRecompute(net, 0, net.numLayers() - 1, seed);
+    // Tips 1..3, so recompute tiles also start mid-source-tile.
+    const int tip = 1 + static_cast<int>(seed % 3);
+    for (Precision mode :
+         {Precision::Fp32, Precision::Int8, Precision::Fp16})
+        runRecompute(net, 0, net.numLayers() - 1, seed, tip, mode);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RecomputeRandom, ::testing::Range(0, 25));

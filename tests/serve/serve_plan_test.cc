@@ -67,11 +67,11 @@ vggFiveScaled(int hw)
  */
 void
 runPlanDifferential(const Network &net, Precision mode, int workers,
-                    EngineKind engine, int requests = 8)
+                    PlanEngine engine, int requests = 8)
 {
     SCOPED_TRACE(std::string(net.name()) + " " + precisionName(mode) +
                  " workers=" + std::to_string(workers) + " engine=" +
-                 engineKindName(engine));
+                 planEngineName(engine));
 
     Rng wrng(7);
     NetworkWeights weights(net, wrng);
@@ -131,7 +131,7 @@ TEST(ServePlan, WarmupCompilesOnceWorkersOnlyExecute)
     spec.firstLayer = 0;
     spec.lastLayer = net.numLayers() - 1;
 
-    ServeEngine eng(spec, EngineKind::LineBuffer);
+    ServeEngine eng(spec, PlanEngine::LineBuffer);
     EXPECT_FALSE(eng.plan().compiled());
     eng.warmup();
     EXPECT_TRUE(eng.plan().compiled());
@@ -160,7 +160,7 @@ TEST(ServePlan, SkippedWarmupCompilesLazilyExactlyOnce)
     spec.firstLayer = 0;
     spec.lastLayer = net.numLayers() - 1;
 
-    ServeEngine eng(spec, EngineKind::Fused);
+    ServeEngine eng(spec, PlanEngine::Fused);
     Tensor in(net.inputShape());
     Rng irng(6);
     in.fillRandom(irng);
@@ -186,7 +186,7 @@ TEST(ServePlan, EngineUsesTheRegisteredPlanTemplate)
     spec.lastLayer = 3;
     spec.plan = tmpl;
 
-    ServeEngine eng(spec, EngineKind::LineBuffer);
+    ServeEngine eng(spec, PlanEngine::LineBuffer);
     EXPECT_EQ(eng.plan().ops(), tmpl->ops());
     eng.warmup();
     EXPECT_FALSE(tmpl->compiled());  // workers compile private copies
@@ -202,9 +202,9 @@ TEST(ServePlan, Fp32GridAlexNetPrefix)
 {
     Network net = alexPrefixScaled(67);
     for (int workers : {1, 2, 8})
-        for (EngineKind kind :
-             {EngineKind::Reference, EngineKind::Fused,
-              EngineKind::LineBuffer, EngineKind::Recompute})
+        for (PlanEngine kind :
+             {PlanEngine::Reference, PlanEngine::Fused,
+              PlanEngine::LineBuffer, PlanEngine::Recompute})
             runPlanDifferential(net, Precision::Fp32, workers, kind);
 }
 
@@ -212,9 +212,9 @@ TEST(ServePlan, Fp32GridVggFirstFive)
 {
     Network net = vggFiveScaled(40);
     for (int workers : {1, 2, 8})
-        for (EngineKind kind :
-             {EngineKind::Reference, EngineKind::Fused,
-              EngineKind::LineBuffer, EngineKind::Recompute})
+        for (PlanEngine kind :
+             {PlanEngine::Reference, PlanEngine::Fused,
+              PlanEngine::LineBuffer, PlanEngine::Recompute})
             runPlanDifferential(net, Precision::Fp32, workers, kind);
 }
 
@@ -223,9 +223,9 @@ TEST(ServePlan, PrecisionGridAlexNetPrefix)
     Network net = alexPrefixScaled(67);
     for (Precision mode : {Precision::Int8, Precision::Fp16})
         for (int workers : {1, 2, 8})
-            for (EngineKind kind :
-                 {EngineKind::Reference, EngineKind::Fused,
-                  EngineKind::LineBuffer, EngineKind::Recompute})
+            for (PlanEngine kind :
+                 {PlanEngine::Reference, PlanEngine::Fused,
+                  PlanEngine::LineBuffer, PlanEngine::Recompute})
                 runPlanDifferential(net, mode, workers, kind, 6);
 }
 
@@ -234,9 +234,9 @@ TEST(ServePlan, PrecisionGridVggFirstFive)
     Network net = vggFiveScaled(40);
     for (Precision mode : {Precision::Int8, Precision::Fp16})
         for (int workers : {1, 2, 8})
-            for (EngineKind kind :
-                 {EngineKind::Reference, EngineKind::Fused,
-                  EngineKind::LineBuffer, EngineKind::Recompute})
+            for (PlanEngine kind :
+                 {PlanEngine::Reference, PlanEngine::Fused,
+                  PlanEngine::LineBuffer, PlanEngine::Recompute})
                 runPlanDifferential(net, mode, workers, kind, 6);
 }
 
@@ -253,7 +253,7 @@ TEST(ServePlanDeath, AddModelRejectsUnsupportedPlanTyped)
     NetworkWeights w(net, rng);
 
     ServeConfig cfg;
-    cfg.engine = EngineKind::LineBuffer;
+    cfg.engine = PlanEngine::LineBuffer;
     auto reject = [&] {
         InferenceServer server(cfg);
         server.addModel("m", net, w);
@@ -264,7 +264,7 @@ TEST(ServePlanDeath, AddModelRejectsUnsupportedPlanTyped)
     // The same model is a legal explicit choice on the reference
     // engine.
     ServeConfig ok = cfg;
-    ok.engine = EngineKind::Reference;
+    ok.engine = PlanEngine::Reference;
     ok.warmup = false;
     InferenceServer server(ok);
     server.addModel("m", net, w);
