@@ -15,9 +15,9 @@
 
 #include "common/table.hh"
 #include "common/units.hh"
+#include "dse/sweep.hh"
 #include "fusion/plan.hh"
 #include "model/baseline.hh"
-#include "model/explorer.hh"
 #include "model/recompute.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
@@ -101,20 +101,21 @@ main()
     // stages carry MBs of weights, so the best transfer-per-storage
     // designs fuse the feature-map-heavy early stages.
     Network net8 = vggEPrefix(8);
-    ExploreOptions plain;
-    plain.exactStorage = false;
-    ExploreOptions weighted = plain;
-    weighted.includeWeightStorage = true;
-    auto pa = exploreFusionSpace(net8, plain);
-    auto pb = exploreFusionSpace(net8, weighted);
+    dse::SweepOptions plain;
+    plain.cost.exactStorage = false;
+    dse::SweepOptions weighted = plain;
+    weighted.cost.includeWeightStorage = true;
+    const dse::SweepResult pa = dse::runSweep(net8, plain);
+    const dse::SweepResult pb = dse::runSweep(net8, weighted);
     Table t4({"model", "full-fusion storage", "front size",
               "best transfer <=1MB storage"});
-    auto summarize = [&](const char *label, ExplorationResult &r,
+    auto summarize = [&](const char *label, const dse::SweepResult &r,
                          Table &t) {
-        const DesignPoint *pick = r.bestUnderStorage(1024 * 1024);
+        const DesignPoint *pick =
+            bestUnderStorage(r.legacyFront, 1024 * 1024);
         t.addRow({label,
                   formatBytes(r.points.front().storageBytes),
-                  fmtI(static_cast<int64_t>(r.front.size())),
+                  fmtI(static_cast<int64_t>(r.legacyFront.size())),
                   pick ? formatBytes(pick->transferBytes)
                        : std::string("-")});
     };

@@ -14,7 +14,7 @@
 
 #include "common/table.hh"
 #include "common/units.hh"
-#include "model/explorer.hh"
+#include "dse/sweep.hh"
 #include "model/transfer.hh"
 #include "nn/zoo.hh"
 
@@ -26,12 +26,12 @@ void
 sweep(const Network &net, const char *title)
 {
     std::printf("== Figure 7: %s ==\n", title);
-    auto res = exploreFusionSpace(net);
+    const dse::SweepResult res = dse::runSweep(net, {});
     std::printf("%zu partitions evaluated, %zu Pareto-optimal\n\n",
-                res.points.size(), res.front.size());
+                res.points.size(), res.legacyFront.size());
 
     Table t({"partition", "storage KB", "transfer MB"});
-    for (const auto &p : res.front) {
+    for (const auto &p : res.legacyFront) {
         t.addRow({partitionStr(p.partition),
                   fmtF(toKiB(p.storageBytes), 1),
                   fmtF(toMiB(p.transferBytes), 2)});
@@ -50,10 +50,10 @@ main()
     sweep(vgg, "(b) VGGNet-E first 5 convs + 2 pools, 64 partitions");
 
     // The paper's named points on the VGG plot.
-    auto res = exploreFusionSpace(vgg);
+    const dse::SweepResult res = dse::runSweep(vgg, {});
     int64_t a_transfer = layerByLayerTransferBytes(vgg);
-    const DesignPoint *b = res.bestUnderStorage(120 * 1024);
-    const DesignPoint &c = res.minTransfer();
+    const DesignPoint *b = bestUnderStorage(res.legacyFront, 120 * 1024);
+    const DesignPoint &c = res.legacyFront.back();
 
     std::printf("named points (paper values in parentheses):\n");
     std::printf("  A: storage 0, transfer %.1f MB   (0, 86 MB)\n",

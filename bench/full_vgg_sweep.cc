@@ -9,13 +9,12 @@
  * closed-form storage model, with and without on-chip weight residency
  * in the cost, and time it.
  *
- * The sweep itself is the library's: exploreFusionSpace prices each
- * contiguous stage range once through the shared GroupCostCache (the
- * per-(first,last) table this bench used to build privately) and
- * streams the million partitions over per-thread mask ranges.
+ * The sweep itself is the library's Chain sweep (dse::runSweep): it
+ * prices each contiguous stage range once and walks the million
+ * partitions' cut-mask tree over per-thread mask ranges. Its time also
+ * covers pricing the latency/energy/buffer surface of every point.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -24,35 +23,20 @@
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "common/units.hh"
-#include "model/explorer.hh"
+#include "dse/sweep.hh"
 #include "nn/zoo.hh"
 
 using namespace flcnn;
 
 namespace {
 
-struct SweepResult
-{
-    std::vector<DesignPoint> front;
-    double seconds = 0.0;
-    int64_t points = 0;
-};
-
-SweepResult
+dse::SweepResult
 sweep(const Network &net, bool with_weights)
 {
-    auto t0 = std::chrono::steady_clock::now();
-    ExploreOptions opt;
-    opt.exactStorage = false;  // closed form: 2^20 points in seconds
-    opt.includeWeightStorage = with_weights;
-    ExplorationResult ex = exploreFusionSpace(net, opt);
-    SweepResult res;
-    res.points = static_cast<int64_t>(ex.points.size());
-    res.front = std::move(ex.front);
-    res.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    return res;
+    dse::SweepOptions opt;
+    opt.cost.exactStorage = false;  // closed form: 2^20 points in seconds
+    opt.cost.includeWeightStorage = with_weights;
+    return dse::runSweep(net, opt);
 }
 
 } // namespace
@@ -80,38 +64,38 @@ main(int argc, char **argv)
                     static_cast<int>(net.stages().size()))),
                 ThreadPool::global().numThreads());
 
-    SweepResult plain = sweep(net, false);
-    std::printf("reuse-buffer cost only: %lld partitions in %.1f s, "
-                "%zu Pareto-optimal\n",
-                static_cast<long long>(plain.points), plain.seconds,
-                plain.front.size());
-    Table t({"partition (first rows)", "storage", "transfer"});
-    size_t shown = 0;
-    for (const auto &p : plain.front) {
-        if (shown++ >= 10) {
-            t.addRow({"...", "...", "..."});
-            break;
+    {  // scoped: frees the 2^20 points before the second sweep
+        const dse::SweepResult plain = sweep(net, false);
+        std::printf("reuse-buffer cost only: %lld partitions in %.1f s, "
+                    "%zu Pareto-optimal\n",
+                    static_cast<long long>(plain.pointsVisited),
+                    plain.seconds, plain.legacyFront.size());
+        Table t({"partition (first rows)", "storage", "transfer"});
+        size_t shown = 0;
+        for (const auto &p : plain.legacyFront) {
+            if (shown++ >= 10) {
+                t.addRow({"...", "...", "..."});
+                break;
+            }
+            t.addRow({partitionStr(p.partition),
+                      formatBytes(p.storageBytes),
+                      formatBytes(p.transferBytes)});
         }
-        t.addRow({partitionStr(p.partition),
-                  formatBytes(p.storageBytes),
-                  formatBytes(p.transferBytes)});
+        t.print();
+        const DesignPoint &full = plain.legacyFront.back();
+        std::printf("\nfull fusion of all 21 stages: %s storage for %s "
+                    "transferred\n(the paper's Section III-C: ~1.4 MB to "
+                    "fuse everything)\n\n",
+                    formatBytes(full.storageBytes).c_str(),
+                    formatBytes(full.transferBytes).c_str());
     }
-    t.print();
-    std::printf("\nfull fusion of all 21 stages: %s storage for %s "
-                "transferred\n(the paper's Section III-C: ~1.4 MB to "
-                "fuse everything)\n\n",
-                formatBytes(plain.front.back().storageBytes).c_str(),
-                formatBytes(plain.front.back().transferBytes).c_str());
 
-    SweepResult weighted = sweep(net, true);
-    const DesignPoint *pick = nullptr;
-    for (const auto &p : weighted.front) {
-        if (p.storageBytes <= 2 * 1024 * 1024)
-            pick = &p;
-    }
+    const dse::SweepResult weighted = sweep(net, true);
+    const DesignPoint *pick =
+        bestUnderStorage(weighted.legacyFront, 2 * 1024 * 1024);
     std::printf("with on-chip weights priced in (%lld partitions in "
                 "%.1f s):\n",
-                static_cast<long long>(weighted.points),
+                static_cast<long long>(weighted.pointsVisited),
                 weighted.seconds);
     if (pick) {
         std::printf("  best design under a 2 MB budget: %s -> %s "

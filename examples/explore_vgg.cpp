@@ -16,14 +16,14 @@
  * quarters all storage/transfer bytes), re-deriving the Pareto front
  * for a quantized deployment.
  *
- * --space switches to the schedule-space sweep engine (src/dse):
- * "chain" re-enumerates the paper's partition space bit-identically to
- * the classic tool but also prices the latency/energy/buffer surface;
- * "looptree" explores the enlarged space (multi-row tiles from
- * --tile-heights, per-boundary retain-vs-recompute, independent-tile
- * and uniform-stride dataflows). --pareto-json writes both surfaces as
- * JSON (schema flcnn-pareto-v1) and implies --space chain when no
- * space was chosen.
+ * Every mode runs one dse::runSweep. Without --space it prints the
+ * chain sweep's storage/transfer table (the paper's Figure 7 view).
+ * --space prints the latency/energy/buffer surface instead: "chain"
+ * over the paper's partition space; "looptree" over the enlarged space
+ * (multi-row tiles from --tile-heights, per-boundary
+ * retain-vs-recompute, independent-tile and uniform-stride dataflows).
+ * --pareto-json writes both surfaces as JSON (schema flcnn-pareto-v1)
+ * and implies --space chain when no space was chosen.
  */
 
 #include <cstdio>
@@ -36,7 +36,6 @@
 #include "common/table.hh"
 #include "common/units.hh"
 #include "dse/sweep.hh"
-#include "model/explorer.hh"
 #include "model/transfer.hh"
 #include "nn/zoo.hh"
 
@@ -66,8 +65,7 @@ parseTileHeights(const char *arg)
 }
 
 void
-printSweep(const Network &net, const dse::SweepOptions &opt,
-           const dse::SweepResult &res)
+printSweep(const Network &net, const dse::SweepResult &res)
 {
     std::printf("%s sweep: %lld points in %.3f s (%.0f points/s), "
                 "frontier %zu, chain front %zu\n\n",
@@ -91,7 +89,6 @@ printSweep(const Network &net, const dse::SweepOptions &opt,
                   p.cost.exact() ? "" : "approx"});
     }
     t.print();
-    (void)opt;
 }
 
 } // namespace
@@ -160,11 +157,11 @@ main(int argc, char **argv)
                 static_cast<long long>(countPartitions(
                     static_cast<int>(net.stages().size()))));
 
+    sopt.cost.withRecompute = true;
+    sopt.cost.dtype = dtype;
+    const dse::SweepResult res = dse::runSweep(net, sopt);
     if (use_sweep) {
-        sopt.cost.withRecompute = true;
-        sopt.cost.dtype = dtype;
-        dse::SweepResult res = runSweep(net, sopt);
-        printSweep(net, sopt, res);
+        printSweep(net, res);
         if (!json_path.empty()) {
             std::FILE *f = std::fopen(json_path.c_str(), "w");
             if (!f)
@@ -177,16 +174,11 @@ main(int argc, char **argv)
         return 0;
     }
 
-    ExploreOptions opt;
-    opt.withRecompute = true;
-    opt.dtype = dtype;
-    auto res = exploreFusionSpace(net, opt);
-
     Table t({"partition", "storage KB", "transfer MB",
              "recompute-alt extra ops", "pareto"});
     for (const auto &p : res.points) {
         bool on_front = false;
-        for (const auto &f : res.front) {
+        for (const auto &f : res.legacyFront) {
             if (f.partition == p.partition) {
                 on_front = true;
                 break;
@@ -204,12 +196,11 @@ main(int argc, char **argv)
 
     const int64_t lbl = layerByLayerTransferBytes(net) / 4 *
                         precisionElemBytes(dtype);
+    const int64_t best = res.legacyFront.back().transferBytes;
     std::printf("\nlayer-by-layer: %s; best fusion: %s "
                 "(%.1fx less DRAM traffic)\n",
-                formatBytes(lbl).c_str(),
-                formatBytes(res.minTransfer().transferBytes).c_str(),
-                static_cast<double>(lbl) /
-                    static_cast<double>(res.minTransfer().transferBytes));
+                formatBytes(lbl).c_str(), formatBytes(best).c_str(),
+                static_cast<double>(lbl) / static_cast<double>(best));
     if (!all_points)
         std::printf("(showing Pareto-optimal rows; --all-points for "
                     "the full scatter)\n");

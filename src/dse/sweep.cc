@@ -81,14 +81,13 @@ groupVariants(SchedulePricer &pricer, int a, int b,
     const Network &net = pricer.network();
     std::vector<std::pair<GroupSchedule, ScheduleCost>> vars;
     const bool multi = b > a;
-    const bool us_ok =
-        opt.uniformStride && multi && uniformStrideOk(net, a, b);
+    const bool us_ok = multi && uniformStrideOk(net, a, b);
     for (int t : tiles) {
         GroupSchedule base{a, b, t, Dataflow::Pyramid, ~0u};
         const ScheduleCost base_cost = pricer.priceGroup(base);
         vars.emplace_back(base, base_cost);
 
-        if (opt.perLayerRecompute && multi) {
+        if (multi) {
             const uint32_t meaningful = meaningfulRetainBits(net, base);
             struct Bit
             {
@@ -139,14 +138,15 @@ groupVariants(SchedulePricer &pricer, int a, int b,
     return vars;
 }
 
-/** Keep at most @p cap members of an already-Pareto, already-sorted
- *  frontier, evenly spaced so both extremes and the middle survive. */
+/** Keep at most @p cap (>= 2) members of an already-Pareto,
+ *  already-sorted frontier, evenly spaced so both extremes and the
+ *  middle survive. */
 template <typename T>
 void
 truncateEvenly(std::vector<T> &front, int cap)
 {
     const size_t n = front.size();
-    if (cap <= 0 || n <= static_cast<size_t>(cap))
+    if (n <= static_cast<size_t>(cap))
         return;
     std::vector<T> kept;
     kept.reserve(static_cast<size_t>(cap));
@@ -161,53 +161,130 @@ truncateEvenly(std::vector<T> &front, int cap)
     front = std::move(kept);
 }
 
-/** Chain-space sweep: the legacy enumeration through the schedule IR,
- *  plus the full-axis surface. */
-void
-runChainSweep(const Network &net, const SweepOptions &opt,
-              SchedulePricer &pricer, SweepResult &res)
+/** Per-range terms the chain walk sums: the GroupCostCache cell and
+ *  the surface axes of the fully priced group. Every field is an
+ *  integer and additive over groups. */
+struct ChainTerms
 {
-    (void)opt;  // chain mode has no knobs beyond the pricer's
+    int64_t storage = 0, transfer = 0, extra = 0;  // GroupCostCache::Cell
+    int64_t latency = 0, energy = 0, buffer = 0;   // surfaceAxes()
+
+    ChainTerms
+    operator+(const ChainTerms &o) const
+    {
+        return ChainTerms{storage + o.storage, transfer + o.transfer,
+                          extra + o.extra, latency + o.latency,
+                          energy + o.energy, buffer + o.buffer};
+    }
+};
+
+/**
+ * Incremental chain enumeration over a contiguous cut-mask range.
+ *
+ * Cut bit s separates stages s and s+1, so masks sharing their high
+ * bits form contiguous ranges and agree on every group above the
+ * lowest decided cut. Walking the bits from the highest down and
+ * carrying the term sums of the groups completed so far makes each of
+ * the 2^(l-1) partitions O(1) amortized — the per-range table lookups
+ * happen once per tree edge, not once per leaf below it. All sums are
+ * integers and each leaf writes only its own mask's slots, so parallel
+ * [lo, hi) chunks reproduce the serial enumeration bit for bit.
+ */
+struct MaskTreeWalk
+{
+    const std::vector<ChainTerms> &terms;  // stages x stages, by range
+    int stages;
+    std::vector<DesignPoint> &points;
+    std::vector<ParetoPoint3> &axes;
+    int64_t lo, hi;
+    // Groups completed on the current path, highest stage range first.
+    StageGroup done[32];
+    int num_done = 0;
+
+    const ChainTerms &
+    range(int first, int last) const
+    {
+        return terms[static_cast<size_t>(first) * stages + last];
+    }
+
+    void
+    emit(int64_t mask, const ChainTerms &sum, int open_end)
+    {
+        const ChainTerms t = sum + range(0, open_end);
+        DesignPoint &d = points[static_cast<size_t>(mask)];
+        d.storageBytes = t.storage;
+        d.transferBytes = t.transfer;
+        d.extraOps = t.extra;
+        d.partition.resize(static_cast<size_t>(num_done) + 1);
+        d.partition[0] = StageGroup{0, open_end};
+        for (int i = 0; i < num_done; i++)  // reverse: lowest range first
+            d.partition[static_cast<size_t>(i) + 1] =
+                done[num_done - 1 - i];
+        axes[static_cast<size_t>(mask)] =
+            ParetoPoint3{t.latency, t.energy, t.buffer};
+    }
+
+    void
+    walk(int bit, int64_t prefix, const ChainTerms &sum, int open_end)
+    {
+        if (bit < 0) {
+            if (prefix >= lo && prefix < hi)
+                emit(prefix, sum, open_end);
+            return;
+        }
+        const int64_t span = int64_t{1} << bit;
+        if (prefix < hi && prefix + span > lo)  // bit clear: no cut
+            walk(bit - 1, prefix, sum, open_end);
+        const int64_t p1 = prefix + span;  // bit set: cut after stage bit
+        if (p1 < hi && p1 + span > lo) {
+            done[num_done++] = StageGroup{bit + 1, open_end};
+            walk(bit - 1, p1, sum + range(bit + 1, open_end), bit);
+            num_done--;
+        }
+    }
+};
+
+/** Chain-space sweep: the paper's 2^(l-1) partitions, each priced on
+ *  the storage/transfer axes and the full-axis surface. */
+void
+runChainSweep(const Network &net, SchedulePricer &pricer,
+              SweepResult &res)
+{
     const int stages = static_cast<int>(net.stages().size());
     const GroupCostCache &cache = pricer.chainCache();
 
     // Pre-price every stage range's full cost vector serially (the
-    // pricer is not thread-safe); the parallel enumeration below then
-    // only sums plain structs.
+    // pricer is not thread-safe); the parallel walk below then only
+    // sums plain structs.
     std::vector<ScheduleCost> cost3(
         static_cast<size_t>(stages) * static_cast<size_t>(stages));
-    for (int a = 0; a < stages; a++)
-        for (int b = a; b < stages; b++)
-            cost3[static_cast<size_t>(a) * stages + b] = pricer.priceGroup(
+    std::vector<ChainTerms> terms(cost3.size());
+    for (int a = 0; a < stages; a++) {
+        for (int b = a; b < stages; b++) {
+            const size_t at = static_cast<size_t>(a) * stages + b;
+            cost3[at] = pricer.priceGroup(
                 GroupSchedule{a, b, 1, Dataflow::Pyramid, ~0u});
+            const GroupCostCache::Cell &c = cache.cell(a, b);
+            const ParetoPoint3 ax = surfaceAxes(cost3[at]);
+            terms[at] =
+                ChainTerms{c.storage, c.transfer, c.extra, ax.x, ax.y, ax.z};
+        }
+    }
 
     const int64_t count = countPartitions(stages);
     res.points.resize(static_cast<size_t>(count));
     std::vector<ParetoPoint3> axes(static_cast<size_t>(count));
-    // Each mask writes only its own slot, so parallel chunks reproduce
-    // the serial enumeration bit for bit (the legacy explorer's
-    // determinism argument).
     parallelFor(
         0, count,
         [&](int64_t lo, int64_t hi) {
-            forEachPartitionRange(
-                stages, lo, hi,
-                [&](int64_t mask, const Partition &p) {
-                    DesignPoint &d =
-                        res.points[static_cast<size_t>(mask)];
-                    cache.price(p, d);
-                    d.partition = p;
-                    ScheduleCost full;
-                    for (const StageGroup &g : p)
-                        full += cost3[static_cast<size_t>(g.firstStage) *
-                                          stages +
-                                      g.lastStage];
-                    axes[static_cast<size_t>(mask)] = surfaceAxes(full);
-                });
+            MaskTreeWalk w{terms, stages, res.points, axes, lo, hi, {}, 0};
+            w.walk(stages - 2, 0, ChainTerms{}, stages - 1);
         },
         /*grain=*/512);
     res.pointsVisited = count;
 
+    // Index-based front extraction: only the surviving points get
+    // copied, not all 2^(l-1) (each carries a heap-allocated partition).
     for (size_t i : paretoFrontIndices(res.points))
         res.legacyFront.push_back(res.points[i]);
 
@@ -248,12 +325,8 @@ runLoopTreeSweep(const Network &net, const SweepOptions &opt,
         }
     }
 
-    const int cap =
-        opt.frontierCap > 0
-            ? opt.frontierCap
-            : static_cast<int>(std::clamp<int64_t>(
-                  opt.pointBudget / std::max<int64_t>(1, transitions), 4,
-                  4096));
+    const int cap = static_cast<int>(std::clamp<int64_t>(
+        opt.pointBudget / std::max<int64_t>(1, transitions), 4, 4096));
     res.frontierCapUsed = cap;
 
     // F[j]: pruned frontier of schedules covering stages [0, j).
@@ -315,8 +388,8 @@ runLoopTreeSweep(const Network &net, const SweepOptions &opt,
 
     // Exact chain front by the same prefix DP on the 2-objective
     // (storage, transfer) axes — additive costs make the prefix-front
-    // recursion exact, so the values reproduce the legacy explorer's
-    // front without enumerating 2^(l-1) points.
+    // recursion exact, so the values reproduce the Chain sweep's
+    // legacyFront without enumerating 2^(l-1) points.
     const GroupCostCache &cache = pricer.chainCache();
     struct ChainCand
     {
@@ -387,7 +460,7 @@ runSweep(const Network &net, const SweepOptions &opt)
     res.space = opt.space;
     SchedulePricer pricer(net, opt.cost, opt.machine);
     if (opt.space == Space::Chain)
-        runChainSweep(net, opt, pricer, res);
+        runChainSweep(net, pricer, res);
     else
         runLoopTreeSweep(net, opt, pricer, res);
     res.seconds = std::chrono::duration<double>(
@@ -436,8 +509,7 @@ neighborSchedules(const Network &net, const Schedule &s,
                 if (f == Dataflow::Independent && !opt.independentTiles)
                     continue;
                 if (f == Dataflow::UniformStride &&
-                    (!opt.uniformStride ||
-                     !uniformStrideOk(net, g.firstStage, g.lastStage)))
+                    !uniformStrideOk(net, g.firstStage, g.lastStage))
                     continue;
                 Schedule n = s;
                 n.groups[gi].flow = f;
@@ -446,7 +518,7 @@ neighborSchedules(const Network &net, const Schedule &s,
             }
         }
         // Single retain-bit flips.
-        if (opt.perLayerRecompute && g.flow == Dataflow::Pyramid) {
+        if (g.flow == Dataflow::Pyramid) {
             const uint32_t meaningful = meaningfulRetainBits(net, g);
             for (int k = 0; k < 32; k++) {
                 if (!((meaningful >> k) & 1u))

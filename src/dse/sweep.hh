@@ -4,16 +4,18 @@
  *
  * Two spaces:
  *
- *  - **Chain** re-enumerates the paper's 2^(l-1) partition space
- *    through the schedule IR. The enumeration prices through the same
- *    GroupCostCache cells as the legacy explorer and lands each point
- *    at its cut-mask index, so points and front are bit-identical to
- *    exploreFusionSpace() — the differential anchor. A second pass
- *    prices the full latency/energy/buffer axes per point and extracts
- *    the 3-objective surface.
+ *  - **Chain** is the paper's Section V tool: it enumerates all
+ *    2^(l-1) stage partitions by walking the cut-mask tree, carrying
+ *    GroupCostCache cell sums and the fully priced per-range costs
+ *    down each edge, so every point is O(1) amortized. Each point
+ *    lands at its cut-mask index (the enumeratePartitions() order), so
+ *    the result is the same at any thread count. The storage/transfer
+ *    front is the Figure 7 frontier; the latency/energy/buffer axes of
+ *    every point give the 3-objective surface.
  *
  *  - **LoopTree** explores the enlarged space (tile heights, per-layer
- *    retain-vs-recompute, Independent and UniformStride dataflows)
+ *    retain-vs-recompute ladders, Independent tiles and, where one
+ *    stride spans the group, the UniformStride dataflow)
  *    with a prefix dynamic program: F[j] = the pruned frontier of
  *    schedules covering stages [0, j). Costs are additive over groups,
  *    so extending a frontier member with a priced group variant is
@@ -30,6 +32,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>  // kept: perfbench/dse_vgge.cc uses std::unique_ptr
+                   // without including it; drop at its next change
 #include <vector>
 
 #include "dse/pricer.hh"
@@ -42,7 +46,7 @@ namespace dse {
 /** Which schedule space to sweep. */
 enum class Space
 {
-    Chain,     //!< the paper's partitions, bit-identical to the legacy tool
+    Chain,     //!< the paper's 2^(l-1) stage partitions, exhaustively
     LoopTree,  //!< tiles + per-layer recompute + alternative dataflows
 };
 
@@ -58,24 +62,15 @@ struct SweepOptions
      *  added when missing so the chain subspace stays reachable). */
     std::vector<int> tileHeights = {1, 2, 4, 8};
 
-    /** Enumerate per-boundary retain-vs-recompute masks (LoopTree). */
-    bool perLayerRecompute = true;
-
     /** Offer Block-Convolution independent tiles (LoopTree). */
     bool independentTiles = true;
 
-    /** Offer USEFUSE uniform-stride dataflow where strides allow. */
-    bool uniformStride = true;
-
     /** Approximate cap on priced candidate combinations in the
-     *  LoopTree DP; the per-prefix frontier cap is derived from it. */
+     *  LoopTree DP; the per-prefix frontier cap is derived from it
+     *  (clamped to [4, 4096]). */
     int64_t pointBudget = 1'000'000;
 
-    /** Explicit per-prefix frontier cap; 0 derives it from the
-     *  budget. */
-    int frontierCap = 0;
-
-    /** Cost-model switches shared with the legacy explorer. */
+    /** Storage/transfer cost-model switches (GroupCostCache). */
     GroupCostOptions cost;
 
     /** Latency-model knobs. */
@@ -104,8 +99,9 @@ struct SweepResult
      *  priced — the paper's Figure 7 frontier on the new axes. */
     std::vector<SweepPoint> chainFront;
 
-    /** Chain space only: the full enumeration in cut-mask order and
-     *  its 2-objective front, bit-identical to exploreFusionSpace(). */
+    /** Chain space only: every partition in cut-mask (enumeration)
+     *  order, and its storage/transfer Pareto front sorted by ascending
+     *  storage — the Figure 7 scatter and its solid line. */
     std::vector<DesignPoint> points;
     std::vector<DesignPoint> legacyFront;
 };

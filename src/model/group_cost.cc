@@ -57,26 +57,4 @@ GroupCostCache::GroupCostCache(const Network &net,
         });
 }
 
-const GroupCostCache::Cell &
-GroupCostCache::planCell(const Network &net, const FusionPlan &plan) const
-{
-    const int first = plan.firstLayer();
-    const int last = plan.lastLayer();
-    const int sf = net.stageOf(first);
-    const int sl = net.stageOf(last);
-    if (sf < 0 || sl < 0) {
-        panic("plan range [%d, %d] of '%s' lies outside the fusable "
-              "stage prefix",
-              first, last, net.name().c_str());
-    }
-    const Stage &a = net.stages()[static_cast<size_t>(sf)];
-    const Stage &b = net.stages()[static_cast<size_t>(sl)];
-    if (a.first != first || b.last != last) {
-        panic("plan range [%d, %d] does not span whole stages "
-              "(stage %d covers [%d, %d], stage %d covers [%d, %d])",
-              first, last, sf, a.first, a.last, sl, b.first, b.last);
-    }
-    return cell(sf, sl);
-}
-
 } // namespace flcnn

@@ -8,9 +8,9 @@
  * stage range [first, last]. A network with l fusable stages therefore
  * has only l * (l + 1) / 2 distinct group costs, while the sweep visits
  * 2^(l-1) partitions — pricing each range once turns the sweep's model
- * evaluations from O(2^l) into O(l^2) plus pure table lookups. (This
- * table was first built privately by bench/full_vgg_sweep; it is now
- * the library's, used by exploreFusionSpace and the bench alike.)
+ * evaluations from O(2^l) into O(l^2) plus pure table lookups. The
+ * Chain sweep (dse/sweep.hh) sums these cells down its cut-mask tree;
+ * the LoopTree sweep's exact chain-front DP reads them too.
  */
 
 #ifndef FLCNN_MODEL_GROUP_COST_HH
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "fusion/fusion_plan.hh"
 #include "model/pareto.hh"
 #include "model/partition.hh"
 #include "nn/network.hh"
@@ -27,7 +26,7 @@
 
 namespace flcnn {
 
-/** Pricing knobs (mirrors ExploreOptions' cost-model switches). */
+/** Pricing knobs of the storage/transfer cost model. */
 struct GroupCostOptions
 {
     /** Exact TilePlan-based reuse storage vs the closed form. */
@@ -102,16 +101,6 @@ class GroupCostCache
     {
         return cell(first, last).extra;
     }
-
-    /**
-     * Price a path-shaped fusion plan: the Cell of the stage range the
-     * plan's layer range covers — the *same* table entry a sweep
-     * visiting the equivalent StageGroup reads, so plan-based and
-     * range-based pipelines price bit-identically. The plan (compiled
-     * or not) must span whole stages of @p net, the network this cache
-     * was built over; panics otherwise.
-     */
-    const Cell &planCell(const Network &net, const FusionPlan &plan) const;
 
     /**
      * Price a whole partition by table lookups, filling @p d's

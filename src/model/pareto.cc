@@ -249,4 +249,17 @@ paretoFront(std::vector<DesignPoint> points)
     return front;
 }
 
+const DesignPoint *
+bestUnderStorage(const std::vector<DesignPoint> &front,
+                 int64_t max_storage_bytes)
+{
+    const DesignPoint *best = nullptr;
+    for (const DesignPoint &p : front) {
+        if (p.storageBytes > max_storage_bytes)
+            break;  // ascending storage, descending transfer
+        best = &p;
+    }
+    return best;
+}
+
 } // namespace flcnn

@@ -41,6 +41,15 @@ struct DesignPoint
 std::vector<DesignPoint> paretoFront(std::vector<DesignPoint> points);
 
 /**
+ * The point of @p front (a Pareto front sorted by ascending storage, as
+ * paretoFront() returns it) with the least transfer whose storage fits
+ * @p max_storage_bytes — how a designer picks the paper's point B.
+ * nullptr when none fits.
+ */
+const DesignPoint *bestUnderStorage(const std::vector<DesignPoint> &front,
+                                    int64_t max_storage_bytes);
+
+/**
  * Indices (into @p points) of the Pareto-optimal subset, sorted by
  * ascending storage; equal-coordinate candidates resolve to the lowest
  * index. Lets large sweeps extract the front without copying every

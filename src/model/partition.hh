@@ -12,7 +12,6 @@
 #define FLCNN_MODEL_PARTITION_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,26 +41,6 @@ using Partition = std::vector<StageGroup>;
  *  the cut bitmask, so index 0 is the all-fused single group and the
  *  last index is the fully layer-by-layer partition. */
 std::vector<Partition> enumeratePartitions(int num_stages);
-
-/**
- * Visit every partition without materializing the whole set — required
- * for full-network sweeps (all 21 VGGNet-E stages are 2^20 partitions).
- * The Partition passed to @p visit is reused between calls; copy it if
- * you need to keep it.
- */
-void forEachPartition(int num_stages,
-                      const std::function<void(const Partition &)> &visit);
-
-/**
- * Visit the partitions whose cut masks lie in [mask_begin, mask_end) —
- * a contiguous sub-range of the forEachPartition order, so a sweep can
- * be split across threads deterministically. @p visit receives the
- * mask (the partition's index in enumeration order) and the partition;
- * the Partition object is reused between calls.
- */
-void forEachPartitionRange(
-    int num_stages, int64_t mask_begin, int64_t mask_end,
-    const std::function<void(int64_t, const Partition &)> &visit);
 
 /** Number of partitions without materializing them. */
 int64_t countPartitions(int num_stages);

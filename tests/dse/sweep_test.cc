@@ -1,6 +1,6 @@
 /**
  * @file
- * Sweep engine: chain-mode bit-identity with the legacy explorer, the
+ * Sweep engine: chain-mode bit-identity with a brute-force oracle, the
  * LoopTree surface's dominance over the chain front, executor spot
  * checks of priced schedules, neighbors, and the JSON emitter.
  */
@@ -13,7 +13,6 @@
 
 #include "dse/exec.hh"
 #include "dse/sweep.hh"
-#include "model/explorer.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
 #include "tensor/compare.hh"
@@ -22,54 +21,91 @@ namespace flcnn {
 namespace dse {
 namespace {
 
-/** Chain-mode sweeps must reproduce exploreFusionSpace() bit for bit:
- *  same enumeration order, same costs, same front. */
+/** The brute-force Chain oracle: every enumeratePartitions() entry
+ *  priced by GroupCostCache::price, in enumeration order. */
+std::vector<DesignPoint>
+bruteForcePoints(const Network &net, const GroupCostOptions &cost)
+{
+    const GroupCostCache cache(net, cost);
+    std::vector<DesignPoint> points;
+    for (const Partition &p :
+         enumeratePartitions(static_cast<int>(net.stages().size()))) {
+        DesignPoint d;
+        cache.price(p, d);
+        d.partition = p;
+        points.push_back(std::move(d));
+    }
+    return points;
+}
+
+/** Chain-mode sweeps must reproduce the brute-force oracle bit for
+ *  bit: same enumeration order, same costs, same fronts. */
 void
 expectChainBitIdentity(const Network &net, bool with_recompute,
                        Precision dtype)
 {
-    ExploreOptions eopt;
-    eopt.withRecompute = with_recompute;
-    eopt.dtype = dtype;
-    ExplorationResult legacy = exploreFusionSpace(net, eopt);
-
     SweepOptions sopt;
     sopt.space = Space::Chain;
     sopt.cost.withRecompute = with_recompute;
     sopt.cost.dtype = dtype;
     SweepResult swept = runSweep(net, sopt);
 
-    ASSERT_EQ(swept.points.size(), legacy.points.size());
-    EXPECT_EQ(swept.pointsVisited,
-              static_cast<int64_t>(legacy.points.size()));
-    for (size_t i = 0; i < legacy.points.size(); i++) {
-        EXPECT_EQ(swept.points[i].storageBytes,
-                  legacy.points[i].storageBytes) << "point " << i;
-        EXPECT_EQ(swept.points[i].transferBytes,
-                  legacy.points[i].transferBytes) << "point " << i;
-        EXPECT_EQ(swept.points[i].extraOps, legacy.points[i].extraOps)
+    const std::vector<DesignPoint> points =
+        bruteForcePoints(net, sopt.cost);
+    ASSERT_EQ(swept.points.size(), points.size());
+    EXPECT_EQ(swept.pointsVisited, static_cast<int64_t>(points.size()));
+    for (size_t i = 0; i < points.size(); i++) {
+        EXPECT_EQ(swept.points[i].storageBytes, points[i].storageBytes)
             << "point " << i;
-        EXPECT_EQ(swept.points[i].partition, legacy.points[i].partition)
+        EXPECT_EQ(swept.points[i].transferBytes, points[i].transferBytes)
+            << "point " << i;
+        EXPECT_EQ(swept.points[i].extraOps, points[i].extraOps)
+            << "point " << i;
+        EXPECT_EQ(swept.points[i].partition, points[i].partition)
             << "point " << i;
     }
-    ASSERT_EQ(swept.legacyFront.size(), legacy.front.size());
-    for (size_t i = 0; i < legacy.front.size(); i++) {
-        EXPECT_EQ(swept.legacyFront[i].storageBytes,
-                  legacy.front[i].storageBytes) << "front " << i;
+    const std::vector<DesignPoint> front = paretoFront(points);
+    ASSERT_EQ(swept.legacyFront.size(), front.size());
+    for (size_t i = 0; i < front.size(); i++) {
+        EXPECT_EQ(swept.legacyFront[i].storageBytes, front[i].storageBytes)
+            << "front " << i;
         EXPECT_EQ(swept.legacyFront[i].transferBytes,
-                  legacy.front[i].transferBytes) << "front " << i;
-        EXPECT_EQ(swept.legacyFront[i].partition,
-                  legacy.front[i].partition) << "front " << i;
+                  front[i].transferBytes) << "front " << i;
+        EXPECT_EQ(swept.legacyFront[i].partition, front[i].partition)
+            << "front " << i;
     }
-    // The fully-priced chain front mirrors the legacy front 1:1.
-    ASSERT_EQ(swept.chainFront.size(), legacy.front.size());
-    for (size_t i = 0; i < legacy.front.size(); i++) {
+    // The fully-priced chain front mirrors the 2-objective front 1:1.
+    ASSERT_EQ(swept.chainFront.size(), front.size());
+    for (size_t i = 0; i < front.size(); i++) {
         EXPECT_EQ(swept.chainFront[i].cost.storageBytes,
-                  legacy.front[i].storageBytes);
+                  front[i].storageBytes);
         EXPECT_EQ(swept.chainFront[i].cost.transferBytes,
-                  legacy.front[i].transferBytes);
+                  front[i].transferBytes);
         EXPECT_EQ(schedulePartition(swept.chainFront[i].schedule),
-                  legacy.front[i].partition);
+                  front[i].partition);
+    }
+    // The 3-objective surface: every partition priced as a whole
+    // schedule, then the latency/energy/buffer front.
+    SchedulePricer pricer(net, sopt.cost, sopt.machine);
+    std::vector<ScheduleCost> costs;
+    std::vector<ParetoPoint3> axes;
+    for (const DesignPoint &d : points) {
+        costs.push_back(pricer.price(chainSchedule(d.partition)));
+        const ScheduleCost &c = costs.back();
+        axes.push_back(
+            ParetoPoint3{c.latencyCycles, c.energyPj, c.bufferBytes()});
+    }
+    const std::vector<size_t> surface = paretoFrontIndices3(axes);
+    ASSERT_EQ(swept.front.size(), surface.size());
+    for (size_t i = 0; i < surface.size(); i++) {
+        const ScheduleCost &want = costs[surface[i]];
+        const ScheduleCost &got = swept.front[i].cost;
+        EXPECT_EQ(schedulePartition(swept.front[i].schedule),
+                  points[surface[i]].partition) << "surface " << i;
+        EXPECT_EQ(got.latencyCycles, want.latencyCycles) << "surface " << i;
+        EXPECT_EQ(got.energyPj, want.energyPj) << "surface " << i;
+        EXPECT_EQ(got.bufferBytes(), want.bufferBytes()) << "surface " << i;
+        EXPECT_EQ(got.transferBytes, want.transferBytes) << "surface " << i;
     }
 }
 
@@ -155,20 +191,21 @@ TEST(Sweep, LoopTreeDominatesOrMatchesChainFront)
 TEST(Sweep, LoopTreeChainFrontMatchesLegacyValues)
 {
     // The capped DP never touches the chain front's exactness: its
-    // (storage, transfer) values must equal the legacy explorer's
+    // (storage, transfer) values must equal the brute-force chain
     // front exactly.
     Network net = vggEPrefix(5);
-    ExplorationResult legacy = exploreFusionSpace(net);
     SweepOptions opt;
     opt.space = Space::LoopTree;
     opt.pointBudget = 50'000;
     SweepResult res = runSweep(net, opt);
-    ASSERT_EQ(res.chainFront.size(), legacy.front.size());
-    for (size_t i = 0; i < legacy.front.size(); i++) {
+    const std::vector<DesignPoint> front =
+        paretoFront(bruteForcePoints(net, opt.cost));
+    ASSERT_EQ(res.chainFront.size(), front.size());
+    for (size_t i = 0; i < front.size(); i++) {
         EXPECT_EQ(res.chainFront[i].cost.storageBytes,
-                  legacy.front[i].storageBytes) << "front " << i;
+                  front[i].storageBytes) << "front " << i;
         EXPECT_EQ(res.chainFront[i].cost.transferBytes,
-                  legacy.front[i].transferBytes) << "front " << i;
+                  front[i].transferBytes) << "front " << i;
     }
 }
 

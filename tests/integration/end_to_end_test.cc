@@ -15,10 +15,10 @@
 #include "accel/fused_accel.hh"
 #include "accel/partition_executor.hh"
 #include "common/thread_pool.hh"
+#include "dse/sweep.hh"
 #include "fusion/line_buffer_executor.hh"
 #include "fusion/recompute_executor.hh"
 #include "hls/emitter.hh"
-#include "model/explorer.hh"
 #include "model/transfer.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
@@ -48,9 +48,9 @@ TEST(EndToEnd, ExploreThenExecuteTheParetoFront)
     Tensor ref = runRange(net, weights, input, 0,
                           net.stages().back().last);
 
-    auto res = exploreFusionSpace(net);
-    ASSERT_GE(res.front.size(), 2u);
-    for (const DesignPoint &p : res.front) {
+    const dse::SweepResult res = dse::runSweep(net, {});
+    ASSERT_GE(res.legacyFront.size(), 2u);
+    for (const DesignPoint &p : res.legacyFront) {
         PartitionExecutor exec(net, weights, p.partition);
         PartitionRunStats stats;
         Tensor out = exec.run(input, &stats);
@@ -370,8 +370,8 @@ TEST(EndToEnd, AdvisorPickIsExecutable)
     net.addMaxPool("p1", 2, 2);
     net.addConvBlock("c2", 8, 3, 1, 1);
 
-    auto res = exploreFusionSpace(net);
-    const DesignPoint *pick = res.bestUnderStorage(4 * 1024);
+    const dse::SweepResult res = dse::runSweep(net, {});
+    const DesignPoint *pick = bestUnderStorage(res.legacyFront, 4 * 1024);
     ASSERT_NE(pick, nullptr);
 
     Rng wrng(90);

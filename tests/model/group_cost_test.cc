@@ -1,13 +1,11 @@
 /**
  * @file
  * GroupCostCache: every table cell equals a direct model evaluation,
- * and the cached exploration sweep reproduces a brute-force
- * per-partition pricing point for point.
+ * and pricing a partition by lookups equals the per-partition models.
  */
 
 #include <gtest/gtest.h>
 
-#include "model/explorer.hh"
 #include "model/group_cost.hh"
 #include "model/recompute.hh"
 #include "model/storage.hh"
@@ -90,57 +88,6 @@ TEST(GroupCostCache, PricePartitionEqualsDirectPartitionModels)
     }
 }
 
-TEST(GroupCostCache, ExplorerMatchesBruteForceSweep)
-{
-    // The cached, mask-tree explorer must reproduce the obvious
-    // implementation — enumerate every partition, price it with the
-    // models directly, take the Pareto front — in enumeration order.
-    Network net = vggEPrefix(5);
-    for (bool weights : {false, true}) {
-        ExploreOptions opt;
-        opt.exactStorage = false;
-        opt.includeWeightStorage = weights;
-        opt.withRecompute = true;
-        ExplorationResult res = exploreFusionSpace(net, opt);
-
-        const int stages = static_cast<int>(net.stages().size());
-        std::vector<Partition> all = enumeratePartitions(stages);
-        ASSERT_EQ(res.points.size(), all.size());
-        std::vector<DesignPoint> brute;
-        for (size_t i = 0; i < all.size(); i++) {
-            DesignPoint d;
-            d.partition = all[i];
-            d.storageBytes =
-                partitionReuseStorageBytes(net, all[i], false);
-            if (weights) {
-                for (const StageGroup &g : all[i]) {
-                    if (g.size() == 1)
-                        continue;
-                    int fl, ll;
-                    groupLayerRange(net, g, fl, ll);
-                    d.storageBytes += net.weightBytesInRange(fl, ll);
-                }
-            }
-            d.transferBytes = partitionTransferBytes(net, all[i]);
-            d.extraOps =
-                partitionPairwiseRecomputeExtraMultAdds(net, all[i]);
-            EXPECT_EQ(res.points[i].partition, all[i]) << i;
-            EXPECT_EQ(res.points[i].storageBytes, d.storageBytes) << i;
-            EXPECT_EQ(res.points[i].transferBytes, d.transferBytes) << i;
-            EXPECT_EQ(res.points[i].extraOps, d.extraOps) << i;
-            brute.push_back(std::move(d));
-        }
-
-        std::vector<DesignPoint> front = paretoFront(std::move(brute));
-        ASSERT_EQ(res.front.size(), front.size());
-        for (size_t i = 0; i < front.size(); i++) {
-            EXPECT_EQ(res.front[i].partition, front[i].partition) << i;
-            EXPECT_EQ(res.front[i].storageBytes, front[i].storageBytes);
-            EXPECT_EQ(res.front[i].transferBytes, front[i].transferBytes);
-        }
-    }
-}
-
 TEST(GroupCostCache, DtypeScalesStorageAndTransferNotOps)
 {
     // Every byte count in the model is elems * 4; a narrower element
@@ -167,83 +114,6 @@ TEST(GroupCostCache, DtypeScalesStorageAndTransferNotOps)
             EXPECT_EQ(f16.extraOps(a, b), f32.extraOps(a, b));
         }
     }
-}
-
-TEST(Explorer, DtypeThreadsThroughExploration)
-{
-    // The explorer re-prices the whole space per dtype: every design
-    // point's byte costs shrink by the element width, so the int8
-    // sweep is the fp32 sweep scaled — same partitions, same ops.
-    Network net = vggEPrefix(4);
-    ExploreOptions f32opt;
-    ExploreOptions i8opt;
-    i8opt.dtype = Precision::Int8;
-    const ExplorationResult f32 = exploreFusionSpace(net, f32opt);
-    const ExplorationResult i8 = exploreFusionSpace(net, i8opt);
-    ASSERT_EQ(i8.points.size(), f32.points.size());
-    for (size_t i = 0; i < f32.points.size(); i++) {
-        EXPECT_EQ(i8.points[i].partition, f32.points[i].partition);
-        EXPECT_EQ(i8.points[i].storageBytes,
-                  f32.points[i].storageBytes / 4)
-            << i;
-        EXPECT_EQ(i8.points[i].transferBytes,
-                  f32.points[i].transferBytes / 4)
-            << i;
-        EXPECT_EQ(i8.points[i].extraOps, f32.points[i].extraOps);
-    }
-}
-
-
-TEST(GroupCost, PlanCellPricesLikeTheStageGroup)
-{
-    // A path-shaped fusion plan spanning whole stages reads the exact
-    // table entry the equivalent StageGroup reads — plan-based and
-    // range-based pipelines price bit-identically.
-    Network net = vggEPrefix(5);
-    NetworkWeights w(net);
-    GroupCostCache cache(net);
-    const int stages = cache.numStages();
-    ASSERT_GE(stages, 2);
-    for (int a = 0; a < stages; a++) {
-        for (int b = a; b < stages; b++) {
-            FusionPlan plan(net, w);
-            plan.addRange(net.stages()[static_cast<size_t>(a)].first,
-                          net.stages()[static_cast<size_t>(b)].last);
-            const GroupCostCache::Cell &pc = cache.planCell(net, plan);
-            const GroupCostCache::Cell &gc = cache.cell(a, b);
-            EXPECT_EQ(&pc, &gc) << a << ".." << b;
-        }
-    }
-}
-
-TEST(GroupCost, PlanCellWorksOnACompiledPlan)
-{
-    Network net = alexnetFusedPrefix();
-    Rng rng(3);
-    NetworkWeights w(net, rng);
-    GroupCostCache cache(net);
-    FusionPlan plan(net, w);
-    plan.addRange(net.stages().front().first,
-                  net.stages().back().last);
-    PlanCompileOptions opt;
-    opt.engine = PlanEngine::LineBuffer;
-    ASSERT_EQ(plan.compile(opt), CompileStatus::Ok)
-        << plan.diagnostic();
-    const GroupCostCache::Cell &c = cache.planCell(net, plan);
-    EXPECT_EQ(&c, &cache.cell(0, cache.numStages() - 1));
-}
-
-TEST(GroupCostDeath, PlanCellRejectsStageMisalignedPlans)
-{
-    Network net = vggEPrefix(5);
-    NetworkWeights w(net);
-    GroupCostCache cache(net);
-    const Stage &s0 = net.stages().front();
-    ASSERT_GT(s0.last, s0.first);  // conv block: pad + conv + relu
-    FusionPlan plan(net, w);
-    plan.addRange(s0.first, s0.last - 1);  // stops mid-stage
-    EXPECT_DEATH((void)cache.planCell(net, plan),
-                 "does not span whole stages");
 }
 
 } // namespace

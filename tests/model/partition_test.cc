@@ -106,39 +106,6 @@ TEST(Partition, GroupLayerRangeCoversCompanions)
     EXPECT_EQ(last, 6);
 }
 
-TEST(Partition, StreamingVisitorMatchesEnumeration)
-{
-    for (int l : {1, 2, 5, 8}) {
-        auto all = enumeratePartitions(l);
-        size_t i = 0;
-        forEachPartition(l, [&](const Partition &p) {
-            ASSERT_LT(i, all.size());
-            EXPECT_EQ(p, all[i]) << "l=" << l << " i=" << i;
-            i++;
-        });
-        EXPECT_EQ(i, all.size());
-    }
-}
-
-TEST(Partition, StreamingVisitorScalesToFullVgg)
-{
-    // All 21 VGG-E stages: 2^20 partitions, visited without
-    // materialization.
-    int64_t count = 0;
-    int64_t group_sum = 0;
-    forEachPartition(21, [&](const Partition &p) {
-        count++;
-        group_sum += static_cast<int64_t>(p.size());
-        // Spot-validate a sample.
-        if ((count & 0xffff) == 0)
-            EXPECT_EQ(validatePartition(p, 21), "");
-    });
-    EXPECT_EQ(count, countPartitions(21));
-    // Average group count over all partitions of l stages is
-    // 1 + (l-1)/2.
-    EXPECT_EQ(group_sum, count + 20 * (count / 2));
-}
-
 TEST(Partition, AlexNetHas128Options)
 {
     Network net = alexnet();
