@@ -15,13 +15,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <vector>
 
 #include "common/argparse.hh"
+#include "common/clock.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "fusion/line_buffer_executor.hh"
@@ -103,10 +103,9 @@ BENCHMARK(BM_FusedLineBuffer)
 double
 timeOnce(const std::function<Tensor()> &fn, Tensor *out)
 {
-    auto t0 = std::chrono::steady_clock::now();
+    const double t0 = monotonicSeconds();
     *out = fn();
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
+    return monotonicSeconds() - t0;
 }
 
 /** The VGG-E first-five-conv fused pyramid (the paper's Table II

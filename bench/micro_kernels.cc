@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks for the library's hot paths:
  * pyramid-plan construction, whole-space exploration, the balance
- * search, and the three fused executors. These are regression guards
+ * search, and the fused executors (the pyramid one under reuse and
+ * under recompute, and the line buffer). These are regression guards
  * for the tooling itself (the paper's "explored in just a few minutes"
  * claim is about this code path), not paper experiments.
  */
@@ -14,7 +15,6 @@
 #include "dse/sweep.hh"
 #include "fusion/fused_executor.hh"
 #include "fusion/line_buffer_executor.hh"
-#include "fusion/recompute_executor.hh"
 #include "kernels/conv_kernels.hh"
 #include "kernels/weight_pack.hh"
 #include "model/balance.hh"
@@ -413,8 +413,11 @@ void
 BM_RecomputeExecutorMicro(benchmark::State &state)
 {
     ExecFixture f;
-    RecomputeExecutor exec(f.net, f.weights,
-                           TilePlan(f.net, 0, f.net.numLayers() - 1));
+    // Section III-C recompute: the pyramid executor over a plan that
+    // retains no overlap between pyramids.
+    FusedExecutor exec(f.net, f.weights,
+                       TilePlan(f.net, 0, f.net.numLayers() - 1, 1, 1,
+                                /*retain=*/false));
     for (auto _ : state) {
         Tensor out = exec.run(f.input);
         benchmark::DoNotOptimize(out.data());

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "fusion/fused_executor.hh"
 #include "fusion/line_buffer_executor.hh"
 #include "nn/reference.hh"
 
@@ -26,10 +27,11 @@ scheduleExecutableReason(const Network &net, const Schedule &s)
             return buf;
         }
         const uint32_t meaningful = meaningfulRetainBits(net, g);
-        if ((g.retainMask & meaningful) != meaningful) {
+        const uint32_t kept = g.retainMask & meaningful;
+        if (kept != 0 && kept != meaningful) {
             std::snprintf(buf, sizeof buf,
-                          "group %zu: recomputed boundaries have no "
-                          "host executor",
+                          "group %zu: a mix of retained and recomputed "
+                          "boundaries has no host executor",
                           gi);
             return buf;
         }
@@ -50,11 +52,18 @@ executeSchedule(const Network &net, const NetworkWeights &weights,
         int fl, ll;
         groupLayerRange(net, StageGroup{g.firstStage, g.lastStage}, fl,
                         ll);
+        const uint32_t meaningful = meaningfulRetainBits(net, g);
         if (g.size() == 1) {
             cur = runRange(net, weights, cur, fl, ll);
-        } else {
+        } else if ((g.retainMask & meaningful) == meaningful) {
             LineBufferExecutor exec(net, weights, fl, ll,
                                     /*row_block=*/g.tileH);
+            cur = exec.run(cur);
+        } else {
+            // All-recompute: the priced tile, tileH rows x 1 column.
+            FusedExecutor exec(net, weights,
+                               TilePlan(net, fl, ll, g.tileH, 1,
+                                        /*retain=*/false));
             cur = exec.run(cur);
         }
     }

@@ -1,9 +1,9 @@
 #include "dse/sweep.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_set>
 
+#include "common/clock.hh"
 #include "common/logging.hh"
 #include "common/mathutil.hh"
 #include "common/thread_pool.hh"
@@ -455,7 +455,7 @@ runSweep(const Network &net, const SweepOptions &opt)
     FLCNN_ASSERT(stages >= 1 && stages <= 30,
                  "stage count out of sweepable range");
 
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = monotonicSeconds();
     SweepResult res;
     res.space = opt.space;
     SchedulePricer pricer(net, opt.cost, opt.machine);
@@ -463,9 +463,7 @@ runSweep(const Network &net, const SweepOptions &opt)
         runChainSweep(net, pricer, res);
     else
         runLoopTreeSweep(net, opt, pricer, res);
-    res.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    res.seconds = monotonicSeconds() - t0;
     return res;
 }
 

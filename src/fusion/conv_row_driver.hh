@@ -2,7 +2,7 @@
  * @file
  * ConvRowDriver: the one place the fused executors run a conv plan.
  *
- * The pyramid (FusedExecutor), recompute (RecomputeExecutor) and
+ * The pyramid (FusedExecutor, under reuse or recompute) and
  * row-streaming (LineBufferExecutor) dataflows differ in their loop
  * nests, not in how a block of conv output rows is computed. Each
  * hands the driver a ConvRows description — plain values naming the

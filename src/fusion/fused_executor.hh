@@ -1,7 +1,13 @@
 /**
  * @file
  * FusedExecutor: functional model of the fused-layer accelerator
- * (Listings 3 and 4 of the paper) under the *reuse* strategy.
+ * (Listings 3 and 4 of the paper). It runs both of Section III-C's
+ * strategies; the TilePlan picks one. Under *reuse* (a retaining plan,
+ * the default) it works as described below. Under *recompute* (a plan
+ * built with retain = false) every fresh span is the whole span and no
+ * overlap exists, so BL/BT are never allocated, each pyramid loads its
+ * whole base tile from DRAM and every layer recomputes its whole
+ * output span: the same loop nest with empty top/left strips.
  *
  * The executor evaluates a fusion group pyramid-by-pyramid. For every
  * windowed layer it keeps three on-chip buffers:
@@ -18,7 +24,9 @@
  * layer); the layer then computes exactly the fresh region of its output
  * that downstream layers have not seen. Every intermediate value is
  * computed exactly once — the defining property of the reuse model —
- * which the optional coverage tracker verifies.
+ * which the optional coverage tracker verifies (on retaining plans; a
+ * recompute plan computes overlapping values more than once by
+ * design).
  *
  * One deliberate deviation from the paper's Listing 4: the listing
  * updates BT across its own full tile width each iteration, which would
@@ -51,13 +59,16 @@ struct FusedRunStats
 {
     int64_t loadedBytes = 0;   //!< DRAM bytes read (group input)
     int64_t storedBytes = 0;   //!< DRAM bytes written (group output)
-    int64_t reuseBytes = 0;    //!< BL + BT capacity (the paper's cost)
+    int64_t reuseBytes = 0;    //!< BL + BT capacity (the paper's cost;
+                               //!< 0 on a recompute plan)
     int64_t workingBytes = 0;  //!< tile + fresh-output buffer capacity
+                               //!< (TilePlan::workingBufferBytes())
     int64_t pyramids = 0;      //!< number of pyramids evaluated
     OpCount ops;               //!< arithmetic performed
 };
 
-/** Functional fused-layer (reuse model) executor for one fusion group. */
+/** Functional fused-layer executor for one fusion group (reuse or
+ *  recompute, as the TilePlan says). */
 class FusedExecutor
 {
   public:
@@ -88,6 +99,8 @@ class FusedExecutor
      * Enable per-element coverage tracking (test instrumentation).
      * After run(), coverageReport() returns an empty string when every
      * produced element was computed exactly once and no element twice.
+     * Meaningful for retaining plans only: a recompute plan reports
+     * its recomputed elements.
      */
     void setTrackCoverage(bool enable) { trackCoverage = enable; }
     std::string coverageReport() const;
@@ -122,12 +135,14 @@ class FusedExecutor
      * Record per-fused-layer breakdowns of subsequent runs into @p m
      * (scopes "layer:<i>:<name>"): dram_read_bytes /
      * dram_write_bytes, mults / adds / compares, wall_seconds, and
-     * buffer-occupancy gauges, plus run-level pyramid and weight-pack
-     * hit/miss counters under the "" scope. @p scope_prefix is
-     * prepended to every scope (the partition executor passes
-     * "group:<g>:" so its groups stay distinguishable in one
-     * registry). Pass nullptr to detach. The registry must outlive
-     * the executor or the next setMetrics().
+     * buffer-occupancy gauges (tile_bytes: the input assembly tile;
+     * reuse_bytes: BL + BT, 0 on a recompute plan; fresh_bytes: the
+     * fresh-output buffer the layer owns), plus run-level pyramid and
+     * weight-pack hit/miss counters under the "" scope. @p
+     * scope_prefix is prepended to every scope (the partition executor
+     * passes "group:<g>:" so its groups stay distinguishable in one
+     * registry). Pass nullptr to detach. The registry must outlive the
+     * executor or the next setMetrics().
      */
     void
     setMetrics(MetricsRegistry *m, std::string scope_prefix = "")

@@ -18,8 +18,8 @@
  *   engine      | accepted op sequences
  *   ------------+----------------------------------------------------
  *   Fused       | path-shaped runs of Pad / Conv / Pool / ReLU / LRN
- *   LineBuffer  | (the pyramid, row-streaming, and recompute
- *   Recompute   |  executors share one precondition set)
+ *   LineBuffer  | (the three engines share one precondition set;
+ *   Recompute   |  Recompute runs the Fused engine's executor)
  *   Reference   | any path-shaped single-input run (FC included)
  *
  * Everything else is a typed rejection: multi-input joins (Add,
@@ -53,7 +53,6 @@ namespace flcnn {
 
 class FusedExecutor;
 class LineBufferExecutor;
-class RecomputeExecutor;
 class MetricsRegistry;
 
 /** Which executor a plan compiles onto (also the serving runtime's
@@ -63,7 +62,8 @@ enum class PlanEngine
     Reference,   //!< layer-by-layer nn::runRange (explicit choice)
     Fused,       //!< FusedExecutor (reuse model, pyramid dataflow)
     LineBuffer,  //!< LineBufferExecutor (row-streaming dataflow)
-    Recompute,   //!< RecomputeExecutor (no reuse buffers)
+    Recompute,   //!< FusedExecutor over a recompute TilePlan (retain =
+                 //!< false: no reuse buffers, Section III-C)
 };
 
 const char *planEngineName(PlanEngine e);
@@ -213,11 +213,11 @@ class FusionPlan
     std::vector<std::string> solverNames;
     mutable std::string diag;
 
-    // Exactly one is live after compiling onto a fused engine
-    // (Reference pins no executor — runRange holds no state).
+    // Exactly one is live after compiling onto a fused engine: fused
+    // for Fused and Recompute, lineBuffer for LineBuffer (Reference
+    // pins no executor — runRange holds no state).
     std::unique_ptr<FusedExecutor> fused;
     std::unique_ptr<LineBufferExecutor> lineBuffer;
-    std::unique_ptr<RecomputeExecutor> recompute;
 };
 
 } // namespace flcnn

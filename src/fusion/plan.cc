@@ -15,7 +15,7 @@ LayerGeom::freshInX(int c) const
     Span s = inX[static_cast<size_t>(c)];
     Span f = fullInX[static_cast<size_t>(c)];
     s.begin = std::max(s.begin, f.begin);
-    if (c > 0) {
+    if (retain && c > 0) {
         s.begin =
             std::max(s.begin, fullInX[static_cast<size_t>(c) - 1].end);
     }
@@ -28,7 +28,7 @@ LayerGeom::freshInY(int r) const
     Span s = inY[static_cast<size_t>(r)];
     Span f = fullInY[static_cast<size_t>(r)];
     s.begin = std::max(s.begin, f.begin);
-    if (r > 0) {
+    if (retain && r > 0) {
         s.begin =
             std::max(s.begin, fullInY[static_cast<size_t>(r) - 1].end);
     }
@@ -39,7 +39,7 @@ Span
 LayerGeom::freshOutX(int c) const
 {
     Span s = outX[static_cast<size_t>(c)];
-    if (c > 0)
+    if (retain && c > 0)
         s.begin = std::max(s.begin, outX[static_cast<size_t>(c) - 1].end);
     return s;
 }
@@ -48,7 +48,7 @@ Span
 LayerGeom::freshOutY(int r) const
 {
     Span s = outY[static_cast<size_t>(r)];
-    if (r > 0)
+    if (retain && r > 0)
         s.begin = std::max(s.begin, outY[static_cast<size_t>(r) - 1].end);
     return s;
 }
@@ -85,7 +85,7 @@ LayerGeom::freshOutBytes() const
 }
 
 TilePlan::TilePlan(const Network &network, int first_layer, int last_layer,
-                   int tip_h, int tip_w)
+                   int tip_h, int tip_w, bool retain)
     : net(network), first(first_layer), last(last_layer), tiph(tip_h),
       tipw(tip_w)
 {
@@ -126,6 +126,7 @@ TilePlan::TilePlan(const Network &network, int first_layer, int last_layer,
         g.inPlane = net.inShape(i);
         g.outPlane = net.outShape(i);
         g.windowed = spec.windowed();
+        g.retain = retain;
         g.outX = cur_x;
         g.outY = cur_y;
 
@@ -233,7 +234,7 @@ TilePlan::TilePlan(const Network &network, int first_layer, int last_layer,
                                   g.inX[static_cast<size_t>(c)].width());
             g.maxFreshOutW =
                 std::max(g.maxFreshOutW, g.freshOutX(c).width());
-            if (prev_active >= 0) {
+            if (retain && prev_active >= 0) {
                 int ov = g.inX[static_cast<size_t>(prev_active)].end -
                          g.inX[static_cast<size_t>(c)].begin;
                 g.overlapX = std::max(g.overlapX, ov);
@@ -250,7 +251,7 @@ TilePlan::TilePlan(const Network &network, int first_layer, int last_layer,
                                   g.inY[static_cast<size_t>(r)].width());
             g.maxFreshOutH =
                 std::max(g.maxFreshOutH, g.freshOutY(r).width());
-            if (prev_active >= 0) {
+            if (retain && prev_active >= 0) {
                 int ov = g.inY[static_cast<size_t>(prev_active)].end -
                          g.inY[static_cast<size_t>(r)].begin;
                 g.overlapY = std::max(g.overlapY, ov);
@@ -297,7 +298,8 @@ TilePlan::inputBytesLoaded() const
     // fresh rows x fresh columns: the left strip arrived with pyramid
     // (r, c-1) and the top strip with row r-1's sweep (which covers the
     // same column set), so the fresh rectangles partition the used
-    // region of the plane.
+    // region of the plane. Under recompute the fresh spans are the full
+    // spans, so the sum counts every overlap re-read.
     const LayerGeom &g0 = geoms.front();
     int64_t elems = 0;
     for (int r = 0; r < prows; r++) {

@@ -10,6 +10,14 @@
  * allocate. This realizes the paper's Section III-B exploration
  * framework and the calcparams module of Section IV-B, generalized to
  * ragged edges and arbitrary tip tiles.
+ *
+ * The plan also fixes Section III-C's choice for the overlap between
+ * neighboring pyramids. A *retaining* plan (the default, the reuse
+ * model) carries it on chip in the BL/BT buffers. A *recompute* plan
+ * (retain = false) carries nothing: every pyramid's fresh span is its
+ * whole span, so each pyramid reloads its full base tile and recomputes
+ * every intermediate it needs, and no reuse buffer exists. The same
+ * executor (FusedExecutor) runs both.
  */
 
 #ifndef FLCNN_FUSION_PLAN_HH
@@ -58,6 +66,7 @@ struct LayerGeom
 
     int overlapX = 0;          //!< max columns carried between pyramids
     int overlapY = 0;          //!< max rows carried between pyramid rows
+                               //!< (both 0 when the plan does not retain)
 
     /**
      * A layer is *active* at pyramid column c (row r) when it computes
@@ -75,12 +84,18 @@ struct LayerGeom
     std::vector<int> nextBeginX;
     std::vector<int> nextBeginY;
 
+    /** Whether the overlap with the previous pyramid is carried on chip
+     *  (reuse model) or recomputed (TilePlan's retain flag). */
+    bool retain = true;
+
     /** Fresh (newly arriving) part of the tile at column c: the compute
-     *  span minus everything previous pyramids already brought on chip. */
+     *  span minus everything previous pyramids already brought on chip
+     *  (the whole compute span when the plan does not retain). */
     Span freshInX(int c) const;
     Span freshInY(int r) const;
 
-    /** Fresh part of the output span at column c / row r. */
+    /** Fresh part of the output span at column c / row r (the whole
+     *  span when the plan does not retain). */
     Span freshOutX(int c) const;
     Span freshOutY(int r) const;
 
@@ -102,10 +117,12 @@ class TilePlan
     /**
      * Build the plan for fusing layers [first, last] of @p net with a
      * tip tile of @p tip_h x @p tip_w group-output pixels per pyramid.
+     * @p retain picks Section III-C's strategy: true keeps the overlap
+     * between pyramids in reuse buffers, false recomputes it.
      * fatal()s if the range contains a non-fusable layer.
      */
     TilePlan(const Network &net, int first_layer, int last_layer,
-             int tip_h = 1, int tip_w = 1);
+             int tip_h = 1, int tip_w = 1, bool retain = true);
 
     int firstLayer() const { return first; }
     int lastLayer() const { return last; }
@@ -140,7 +157,9 @@ class TilePlan
     int64_t workingBufferBytes() const;
 
     /** Bytes of the first-layer input the pyramids load from DRAM
-     *  (every used element exactly once under the reuse model). */
+     *  (every used element exactly once under the reuse model; every
+     *  pyramid's whole base tile, overlap re-reads included, under
+     *  recompute). */
     int64_t inputBytesLoaded() const;
 
     /** Bytes of group output stored to DRAM. */

@@ -8,7 +8,7 @@
  * and the strip kernels then run against the staged image. There are
  * two consumers: the layer-by-layer reference (nn/reference.cc), and
  * fusion/conv_row_driver.hh, which stages and runs every conv block of
- * the three fused executors (pyramid tiles, recompute tiles and
+ * the fused executors (pyramid tiles under reuse or recompute and
  * line-buffer rings alike).
  * ConvStage owns that staging buffer; the convBlockRow* drivers wrap
  * one (filter-block, output-row) kernel invocation plus the mode's

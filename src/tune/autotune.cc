@@ -1,12 +1,12 @@
 #include "tune/autotune.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <map>
 #include <vector>
 
+#include "common/clock.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
@@ -16,14 +16,6 @@
 namespace flcnn {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /**
  * Synthetic workload of exactly the queried shape, built once per
@@ -163,19 +155,19 @@ timePlan(BenchWorkload &w, const ConvPlan &plan,
     runOnce(w, plan);
 
     // Scale reps so one sample is long enough to time reliably.
-    auto t0 = Clock::now();
+    double t0 = monotonicSeconds();
     runOnce(w, plan);
-    double once = secondsSince(t0);
+    double once = monotonicSeconds() - t0;
     int reps = 1;
     if (once * 1e3 < opt.minSampleMs)
         reps = static_cast<int>(opt.minSampleMs / (once * 1e3)) + 1;
 
     double best = 1e30;
     for (int s = 0; s < std::max(1, opt.samples); s++) {
-        t0 = Clock::now();
+        t0 = monotonicSeconds();
         for (int r = 0; r < reps; r++)
             runOnce(w, plan);
-        best = std::min(best, secondsSince(t0) / reps);
+        best = std::min(best, (monotonicSeconds() - t0) / reps);
     }
     return best;
 }

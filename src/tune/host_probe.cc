@@ -1,7 +1,6 @@
 #include "tune/host_probe.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
@@ -12,6 +11,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/clock.hh"
 #include "kernels/conv_kernels.hh"
 
 namespace flcnn {
@@ -73,14 +73,11 @@ chaseNs(int64_t bytes)
     auto once = [&]() {
         const int hops = 1 << 16;
         uint32_t p = 0;
-        auto t0 = std::chrono::steady_clock::now();
+        const double t0 = monotonicSeconds();
         for (int i = 0; i < hops; i++)
             p = ring[p];
-        auto t1 = std::chrono::steady_clock::now();
         // Fold p into the result so the chase cannot be optimized out.
-        double ns =
-            std::chrono::duration<double, std::nano>(t1 - t0).count() /
-            hops;
+        double ns = (monotonicSeconds() - t0) * 1e9 / hops;
         return ns + (p == 0xffffffffu ? 1e-9 : 0.0);
     };
     double best = once();

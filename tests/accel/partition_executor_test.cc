@@ -167,6 +167,10 @@ TEST(PartitionExecutor, BitExactAcrossThreadCounts)
 
 TEST(PartitionExecutorDeath, InvalidPartitionIsFatal)
 {
+    // The global thread pool is already running when this test runs in
+    // a whole-binary process. A plain fork leaves the child without its
+    // workers, and exit(1) in the child would join them; re-exec instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     Network net = smallVggish();
     Rng rng(58);
     NetworkWeights weights(net, rng);

@@ -223,21 +223,14 @@ TEST(Sweep, RespectsPointBudgetOrder)
     expectFrontCoversChain(res);
 }
 
-TEST(Sweep, ExecutorSpotChecksPricedMultiRowSchedule)
+/** Price @p s, run it on the host executors, and compare with the
+ *  reference; returns the priced cost. */
+ScheduleCost
+spotCheckSchedule(const Network &net, const Schedule &s)
 {
-    // A retained multi-row-tile schedule the sweep prices must run on
-    // the host executors bit-identically to the reference.
-    Network net = vggEPrefix(3);
-    const int stages = static_cast<int>(net.stages().size());
-    Schedule s = chainSchedule(partitionFromSizes({2, stages - 2},
-                                                  stages));
-    s.groups[0].tileH = 3;
-    s.groups[1].tileH = 2;
     EXPECT_EQ(scheduleExecutableReason(net, s), "");
-
     SchedulePricer pricer(net);
     ScheduleCost cost = pricer.price(s);
-    EXPECT_GT(cost.bufferBytes(), 0);
     EXPECT_TRUE(cost.exact());
 
     Rng wrng(7);
@@ -248,7 +241,37 @@ TEST(Sweep, ExecutorSpotChecksPricedMultiRowSchedule)
     Tensor ref = runRange(net, weights, input, 0, net.numLayers() - 1);
     Tensor out = executeSchedule(net, weights, input, s);
     CompareResult cmp = compareTensors(ref, out);
-    EXPECT_TRUE(cmp.match) << cmp.str();
+    EXPECT_TRUE(cmp.match) << net.name() << ": " << cmp.str();
+    return cost;
+}
+
+TEST(Sweep, ExecutorSpotChecksPricedMultiRowSchedule)
+{
+    // Multi-row-tile schedules the sweep prices must run on the host
+    // executors bit-identically to the reference. A retained schedule
+    // runs on the line buffer.
+    Network net = vggEPrefix(3);
+    const int stages = static_cast<int>(net.stages().size());
+    Schedule s = chainSchedule(partitionFromSizes({2, stages - 2},
+                                                  stages));
+    s.groups[0].tileH = 3;
+    s.groups[1].tileH = 2;
+    EXPECT_GT(spotCheckSchedule(net, s).bufferBytes(), 0);
+
+    // An all-recompute group runs on the pyramid executor over a
+    // recompute plan (small net: recompute plans at 224x224 are slow).
+    Network mini("mini-vgg", Shape{3, 20, 20});
+    mini.addConvBlock("c1", 4, 3, 1, 1);
+    mini.addConvBlock("c2", 4, 3, 1, 1);
+    mini.addMaxPool("p1", 2, 2);
+    mini.addConvBlock("c3", 6, 3, 1, 1);
+    const int mini_stages = static_cast<int>(mini.stages().size());
+    Schedule r = chainSchedule(partitionFromSizes({3, mini_stages - 3},
+                                                  mini_stages));
+    ASSERT_NE(meaningfulRetainBits(mini, r.groups[0]), 0u);
+    r.groups[0].retainMask = 0;  // recompute every boundary
+    r.groups[0].tileH = 2;
+    EXPECT_GT(spotCheckSchedule(mini, r).extraOps, 0);
 }
 
 TEST(Sweep, NonPyramidSchedulesAreNotExecutable)
@@ -259,7 +282,11 @@ TEST(Sweep, NonPyramidSchedulesAreNotExecutable)
                                                   stages));
     s.groups[0].flow = Dataflow::Independent;
     EXPECT_NE(scheduleExecutableReason(net, s), "");
-    s.groups[0].flow = Dataflow::Pyramid;
+    // Recompute one meaningful boundary and retain another: a mixed
+    // mask has no host executor. The one-group schedule has meaningful
+    // boundaries besides bit 1.
+    s = chainSchedule(fullFusionPartition(stages));
+    ASSERT_NE(meaningfulRetainBits(net, s.groups[0]) & ~2u, 0u);
     s.groups[0].retainMask = ~2u;  // recompute a meaningful boundary
     EXPECT_NE(scheduleExecutableReason(net, s), "");
 }

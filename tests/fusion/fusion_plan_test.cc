@@ -390,6 +390,10 @@ TEST(FusionPlan, PlansSharingALayerDoNotAliasPackEntries)
 
 TEST(FusionPlanDeath, ExecuteBeforeCompileIsFatal)
 {
+    // The global thread pool is already running when this test runs in
+    // a whole-binary process. A plain fork leaves the child without its
+    // workers, and exit(1) in the child would join them; re-exec instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     Network net = smallChain();
     NetworkWeights w(net);
     FusionPlan plan(net, w);
@@ -401,6 +405,10 @@ TEST(FusionPlanDeath, ExecuteBeforeCompileIsFatal)
 
 TEST(FusionPlanDeath, ExecuteAfterRejectionReportsTheDiagnostic)
 {
+    // The global thread pool is already running when this test runs in
+    // a whole-binary process. A plain fork leaves the child without its
+    // workers, and exit(1) in the child would join them; re-exec instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     Network net = convFcNet();
     NetworkWeights w(net);
     FusionPlan plan(net, w);

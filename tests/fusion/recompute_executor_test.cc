@@ -1,17 +1,22 @@
 /**
  * @file
- * RecomputeExecutor: functional equivalence with the reference, and the
- * recompute-vs-reuse arithmetic relationship the paper's Section III-C
- * analysis rests on (DESIGN.md invariant 7).
+ * The paper's *recompute* strategy (Section III-C): FusedExecutor over a
+ * TilePlan that retains no overlap between pyramids. Checked against
+ * oracles that share no code with the executor: nn::runRange for the
+ * outputs, recomputeOpsForPlan for the arithmetic (DESIGN.md invariant
+ * 7), and the closed-form sum of every pyramid's base tile for the
+ * DRAM reads. Also the recompute-vs-reuse arithmetic relationship the
+ * paper's Section III-C analysis rests on.
  */
 
 #include <gtest/gtest.h>
 
 #include "fusion/fused_executor.hh"
-#include "fusion/recompute_executor.hh"
+#include "model/recompute.hh"
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
+#include "obs/metrics.hh"
 #include "tensor/compare.hh"
 
 namespace flcnn {
@@ -20,8 +25,22 @@ namespace {
 struct RunResult
 {
     Tensor out;
-    RecomputeRunStats stats;
+    FusedRunStats stats;
 };
+
+/** DRAM bytes a recompute plan reads: every pyramid loads its whole
+ *  base tile, fullInY[r] x fullInX[c] x C, overlap included. */
+int64_t
+closedFormLoadedBytes(const TilePlan &plan)
+{
+    const LayerGeom &g0 = plan.geom(0);
+    int64_t rows = 0, cols = 0;
+    for (const Span &s : g0.fullInY)
+        rows += s.width();
+    for (const Span &s : g0.fullInX)
+        cols += s.width();
+    return rows * cols * g0.inPlane.c * 4;
+}
 
 RunResult
 runRecompute(const Network &net, int first, int last, uint64_t seed,
@@ -34,16 +53,47 @@ runRecompute(const Network &net, int first, int last, uint64_t seed,
     input.fillRandom(irng);
     const NetPrecision prec = NetPrecision::calibrate(net, weights, mode);
 
-    RecomputeExecutor exec(net, weights, TilePlan(net, first, last, tip,
-                                                  tip));
+    const TilePlan plan(net, first, last, tip, tip, /*retain=*/false);
+    FusedExecutor exec(net, weights, plan);
     exec.setPrecision(&prec);
+    MetricsRegistry reg;
+    exec.setMetrics(&reg);
     RunResult res{Tensor{}, {}};
     res.out = exec.run(input, &res.stats);
 
+    const std::string what = net.name() + " " + precisionName(mode) +
+                             " tip=" + std::to_string(tip);
     Tensor ref = runRange(net, weights, input, first, last, &prec);
     CompareResult cmp = compareTensors(ref, res.out);
-    EXPECT_TRUE(cmp.match) << net.name() << " " << precisionName(mode)
-                           << " tip=" << tip << ": " << cmp.str();
+    EXPECT_TRUE(cmp.match) << what << ": " << cmp.str();
+
+    const OpCount analytic = recomputeOpsForPlan(net, plan);
+    EXPECT_EQ(res.stats.ops, analytic) << what;
+    EXPECT_EQ(res.stats.loadedBytes, closedFormLoadedBytes(plan)) << what;
+    EXPECT_EQ(res.stats.storedBytes, plan.groupOutput().bytes()) << what;
+    EXPECT_EQ(res.stats.pyramids, plan.numPyramids()) << what;
+    EXPECT_EQ(res.stats.reuseBytes, 0) << what;
+    EXPECT_EQ(plan.inputBytesLoaded(), res.stats.loadedBytes) << what;
+
+    // The per-layer breakdown adds up to the same oracles: all reads
+    // through the base tile, all writes through the tip.
+    const int n = last - first + 1;
+    const std::string head =
+        MetricsRegistry::layerScope(0, net.layer(first).name);
+    const std::string tail =
+        MetricsRegistry::layerScope(n - 1, net.layer(last).name);
+    EXPECT_EQ(reg.counter(head, "dram_read_bytes"), res.stats.loadedBytes)
+        << what;
+    EXPECT_EQ(reg.sumCounters("dram_read_bytes"), res.stats.loadedBytes)
+        << what;
+    EXPECT_EQ(reg.counter(tail, "dram_write_bytes"), res.stats.storedBytes)
+        << what;
+    EXPECT_EQ(reg.sumCounters("dram_write_bytes"), res.stats.storedBytes)
+        << what;
+    EXPECT_EQ(reg.sumCounters("mults"), analytic.mults) << what;
+    EXPECT_EQ(reg.sumCounters("adds"), analytic.adds) << what;
+    EXPECT_EQ(reg.sumCounters("compares"), analytic.compares) << what;
+    EXPECT_EQ(reg.sumGauges("reuse_bytes"), 0.0) << what;
     return res;
 }
 

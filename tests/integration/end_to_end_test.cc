@@ -17,7 +17,6 @@
 #include "common/thread_pool.hh"
 #include "dse/sweep.hh"
 #include "fusion/line_buffer_executor.hh"
-#include "fusion/recompute_executor.hh"
 #include "hls/emitter.hh"
 #include "model/transfer.hh"
 #include "nn/reference.hh"
@@ -243,11 +242,12 @@ TEST(Observability, ExecutorMetricSumsMatchRunStats)
         EXPECT_EQ(rec.readBytes(), fs.loadedBytes);
         EXPECT_EQ(rec.writeBytes(), fs.storedBytes);
 
-        // Recompute model.
-        RecomputeExecutor rx(net, weights, TilePlan(net, 0, last));
+        // Recompute model: the same executor over a non-retaining plan.
+        FusedExecutor rx(net, weights,
+                         TilePlan(net, 0, last, 1, 1, /*retain=*/false));
         MetricsRegistry rreg;
         rx.setMetrics(&rreg);
-        RecomputeRunStats rs;
+        FusedRunStats rs;
         rx.run(input, &rs);
         EXPECT_EQ(rreg.sumCounters("dram_read_bytes"), rs.loadedBytes);
         EXPECT_EQ(rreg.sumCounters("dram_write_bytes"), rs.storedBytes);

@@ -97,6 +97,10 @@ TEST(Balance, LayerCyclesLookup)
 
 TEST(BalanceDeath, ImpossibleBudgetIsFatal)
 {
+    // The global thread pool is already running when this test runs in
+    // a whole-binary process. A plain fork leaves the child without its
+    // workers, and exit(1) in the child would join them; re-exec instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     Network net = vggEPrefix(5);
     EXPECT_EXIT(balanceFusedPipeline(net, 0, net.numLayers() - 1, 10),
                 ::testing::ExitedWithCode(1), "budget");

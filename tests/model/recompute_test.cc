@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/units.hh"
-#include "fusion/recompute_executor.hh"
+#include "fusion/fused_executor.hh"
 #include "model/recompute.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
@@ -14,12 +14,12 @@ namespace {
 TEST(Recompute, AnalyticModelMatchesExecutorExactly)
 {
     // DESIGN.md invariant 7: recomputeOpsForPlan must equal what
-    // RecomputeExecutor actually tallies.
+    // FusedExecutor tallies on a recompute (non-retaining) plan.
     Rng rng(2024);
     for (int trial = 0; trial < 12; trial++) {
         Network net = randomFusableNet(rng);
         int last = net.numLayers() - 1;
-        TilePlan plan(net, 0, last, 1, 1);
+        TilePlan plan(net, 0, last, 1, 1, /*retain=*/false);
         OpCount analytic = recomputeOpsForPlan(net, plan);
 
         Rng wrng(trial);
@@ -27,8 +27,8 @@ TEST(Recompute, AnalyticModelMatchesExecutorExactly)
         Tensor in(net.inputShape());
         Rng irng(trial + 77);
         in.fillRandom(irng);
-        RecomputeExecutor exec(net, w, TilePlan(net, 0, last, 1, 1));
-        RecomputeRunStats stats;
+        FusedExecutor exec(net, w, plan);
+        FusedRunStats stats;
         exec.run(in, &stats);
         EXPECT_EQ(analytic, stats.ops) << net.str();
     }
@@ -39,18 +39,22 @@ TEST(Recompute, AnalyticModelMatchesExecutorWithWideTips)
     Rng rng(11);
     Network net = randomFusableNet(rng);
     int last = net.numLayers() - 1;
-    for (int tip : {1, 2, 3}) {
-        TilePlan plan(net, 0, last, tip, tip);
+    // Square tips, and non-square ones like the schedule pricer's
+    // tileH x 1 tiles.
+    const int tips[][2] = {{1, 1}, {2, 2}, {3, 3}, {3, 1}, {1, 3}, {4, 2}};
+    for (const auto &tip : tips) {
+        TilePlan plan(net, 0, last, tip[0], tip[1], /*retain=*/false);
         OpCount analytic = recomputeOpsForPlan(net, plan);
         Rng wrng(5);
         NetworkWeights w(net, wrng);
         Tensor in(net.inputShape());
         Rng irng(6);
         in.fillRandom(irng);
-        RecomputeExecutor exec(net, w, TilePlan(net, 0, last, tip, tip));
-        RecomputeRunStats stats;
+        FusedExecutor exec(net, w, plan);
+        FusedRunStats stats;
         exec.run(in, &stats);
-        EXPECT_EQ(analytic, stats.ops) << "tip " << tip;
+        EXPECT_EQ(analytic, stats.ops)
+            << "tip " << tip[0] << "x" << tip[1];
     }
 }
 
