@@ -24,7 +24,8 @@
  * latency-critical models a p99 budget; the report then breaks
  * latency out per model and per class, and counts best-effort
  * requests shed to defend the budget. The ledger invariant widens to
- * submitted == admitted + rejected + cancelled + shed.
+ * submitted == admitted + rejected + cancelled + shed + invalid
+ * (invalid: a request whose input shape is not the model's).
  *
  * Requests ride the zero-copy path: inputs are written straight into
  * the server's arena (acquireInput/submit), outputs come back as
@@ -222,11 +223,11 @@ writeServeJson(const Options &opt, const InferenceServer &server,
                  "  \"counts\": {\"submitted\": %" PRId64
                  ", \"admitted\": %" PRId64 ", \"rejected\": %" PRId64
                  ", \"expired\": %" PRId64 ", \"cancelled\": %" PRId64
-                 ", \"shed\": %" PRId64
+                 ", \"shed\": %" PRId64 ", \"invalid\": %" PRId64
                  ", \"completed\": %" PRId64 ", \"batches\": %" PRId64
                  ", \"mean_batch\": %.3f, \"max_batch\": %.0f},\n",
                  st.submitted(), st.admitted(), st.rejected(),
-                 st.expired(), st.cancelled(), st.shed(),
+                 st.expired(), st.cancelled(), st.shed(), st.invalid(),
                  st.completed(), st.batches(), st.meanBatch(),
                  st.maxBatchSeen());
     std::fprintf(f, "  \"latency_us\": {\n");
@@ -604,12 +605,12 @@ main(int argc, char **argv)
               " + expired %" PRId64,
               st.admitted(), st.completed(), st.expired());
     if (st.submitted() != st.admitted() + st.rejected() +
-                              st.cancelled() + st.shed())
+                              st.cancelled() + st.shed() + st.invalid())
         fatal("submitted %" PRId64 " != admitted %" PRId64
               " + rejected %" PRId64 " + cancelled %" PRId64
-              " + shed %" PRId64,
+              " + shed %" PRId64 " + invalid %" PRId64,
               st.submitted(), st.admitted(), st.rejected(),
-              st.cancelled(), st.shed());
+              st.cancelled(), st.shed(), st.invalid());
     if (opt.expectNoRejects && st.rejected() > 0)
         fatal("--expect-no-rejects, but %" PRId64 " rejected",
               st.rejected());

@@ -21,8 +21,9 @@ Each FILE is sniffed by shape:
 
   - A serving result ("schema": "flcnn-serve-v1", what serve_bench
     --json writes): checks the admission ledger (submitted = admitted
-    + rejected + cancelled + shed; admitted = completed + expired —
-    "shed" defaults to 0 for results predating SLO classes), that
+    + rejected + cancelled + shed + invalid; admitted = completed +
+    expired — "shed" and "invalid" default to 0 for results predating
+    SLO classes and admission shape checks), that
     every latency histogram recorded exactly one entry per completed
     request, that the per-model and per-class breakdowns (when
     present) sum back to the completed count, and that each
@@ -138,18 +139,23 @@ def check_serve(path, doc):
                 "cancelled", "completed"):
         if not isinstance(counts.get(key), int) or counts[key] < 0:
             fail(path, f"counts.{key} missing or negative")
-    # "shed" joined the schema with SLO classes; older results omit it.
+    # "shed" joined the schema with SLO classes and "invalid" with the
+    # admission shape check; older results omit them.
     shed = counts.get("shed", 0)
     if not isinstance(shed, int) or shed < 0:
         fail(path, "counts.shed not a non-negative integer")
+    invalid = counts.get("invalid", 0)
+    if not isinstance(invalid, int) or invalid < 0:
+        fail(path, "counts.invalid not a non-negative integer")
 
     if counts["submitted"] != (counts["admitted"] + counts["rejected"]
-                               + counts["cancelled"] + shed):
+                               + counts["cancelled"] + shed + invalid):
         fail(path, f"admission ledger broken: submitted "
                    f"{counts['submitted']} != admitted "
                    f"{counts['admitted']} + rejected "
                    f"{counts['rejected']} + cancelled "
-                   f"{counts['cancelled']} + shed {shed}")
+                   f"{counts['cancelled']} + shed {shed} + invalid "
+                   f"{invalid}")
     if counts["admitted"] != counts["completed"] + counts["expired"]:
         fail(path, f"admitted {counts['admitted']} != completed "
                    f"{counts['completed']} + expired "

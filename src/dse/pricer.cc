@@ -6,12 +6,28 @@
 #include "common/mathutil.hh"
 #include "fusion/plan.hh"
 #include "model/recompute.hh"
+#include "model/storage.hh"
+#include "model/transfer.hh"
 #include "nn/reference.hh"
 #include "sim/pipeline.hh"
 #include "tensor/precision.hh"
 
 namespace flcnn {
 namespace dse {
+
+namespace {
+
+/** Rescale an fp32 byte count to @p dtype. Every byte count the
+ *  models produce is elements x 4, exactly divisible by 4, so
+ *  rescaling each term equals rescaling their sum. */
+int64_t
+scaleBytes(int64_t fp32_bytes, Precision dtype)
+{
+    const int64_t eb = precisionElemBytes(dtype);
+    return eb == 4 ? fp32_bytes : fp32_bytes / 4 * eb;
+}
+
+} // namespace
 
 ScheduleCost &
 ScheduleCost::operator+=(const ScheduleCost &o)
@@ -42,8 +58,12 @@ ScheduleCost::operator-=(const ScheduleCost &o)
 SchedulePricer::SchedulePricer(const Network &net,
                                const GroupCostOptions &cost,
                                const MachineModel &machine)
-    : net_(net), cost_(cost), machine_(machine), cache_(net, cost)
+    : net_(net), cost_(cost), machine_(machine),
+      stages_(static_cast<int>(net.stages().size()))
 {
+    // The bound keeps table()'s mixed-radix key inside 64 bits.
+    FLCNN_ASSERT(stages_ >= 1 && stages_ <= (1 << 20),
+                 "network stage count outside the pricer's range");
     FLCNN_ASSERT(machine_.macLanes > 0 && machine_.dramBytesPerCycle > 0,
                  "machine model lanes/bandwidth must be positive");
 }
@@ -51,12 +71,17 @@ SchedulePricer::SchedulePricer(const Network &net,
 const SchedulePricer::GroupTable &
 SchedulePricer::table(int first_stage, int last_stage, int tile_h)
 {
+    FLCNN_ASSERT(first_stage >= 0 && first_stage <= last_stage &&
+                     last_stage < stages_,
+                 "stage range outside the priced network");
     FLCNN_ASSERT(tile_h >= 1 && tile_h <= kMaxTileH,
                  "tile height outside the IR's range");
+    // Mixed-radix key: first, last < stages_ and tile_h <= kMaxTileH,
+    // so distinct (first, last, tile_h) triples never share a key.
     const uint64_t key =
-        ((static_cast<uint64_t>(first_stage) << 6 |
-          static_cast<uint64_t>(last_stage))
-         << 13) |
+        (static_cast<uint64_t>(first_stage) * static_cast<uint64_t>(stages_) +
+         static_cast<uint64_t>(last_stage)) *
+            static_cast<uint64_t>(kMaxTileH + 1) +
         static_cast<uint64_t>(tile_h);
     auto it = tables_.find(key);
     if (it == tables_.end())
@@ -69,20 +94,16 @@ SchedulePricer::table(int first_stage, int last_stage, int tile_h)
 SchedulePricer::GroupTable
 SchedulePricer::buildTable(int first_stage, int last_stage, int tile_h)
 {
-    const int64_t eb = precisionElemBytes(cost_.dtype);
-    // Every byte count below is elements x 4 (fp32), exactly divisible
-    // by 4, so per-term rescaling equals rescaling the sums — the same
-    // argument GroupCostCache relies on.
-    auto scale = [eb](int64_t fp32_bytes) {
-        return eb == 4 ? fp32_bytes : fp32_bytes / 4 * eb;
+    auto scale = [this](int64_t fp32_bytes) {
+        return scaleBytes(fp32_bytes, cost_.dtype);
     };
 
+    const StageGroup group{first_stage, last_stage};
     int fl, ll;
-    groupLayerRange(net_, StageGroup{first_stage, last_stage}, fl, ll);
+    groupLayerRange(net_, group, fl, ll);
 
     GroupTable t;
-    t.transferBytes =
-        scale(net_.inShape(fl).bytes() + net_.outShape(ll).bytes());
+    t.transferBytes = scale(groupTransferBytes(net_, group));
     if (last_stage > first_stage && cost_.includeWeightStorage)
         t.weightBytes = scale(net_.weightBytesInRange(fl, ll));
     t.ops = rangeOpCount(net_, fl, ll);
@@ -181,6 +202,29 @@ SchedulePricer::buildTable(int first_stage, int last_stage, int tile_h)
         /*keep_slots=*/false, resources);
     t.latencyCycles = sched.makespan();
     return t;
+}
+
+ChainCell
+SchedulePricer::chainCell(int first_stage, int last_stage)
+{
+    const GroupTable &t = table(first_stage, last_stage, 1);
+    ChainCell c;
+    c.transfer = t.transferBytes;
+    c.storage = t.weightBytes;
+    if (cost_.exactStorage) {
+        for (const Boundary &bd : t.boundaries)
+            c.storage += bd.blBytes + bd.btBytes;
+    } else {
+        c.storage += scaleBytes(
+            groupReuseStorageBytes(net_, StageGroup{first_stage, last_stage},
+                                   /*exact=*/false),
+            cost_.dtype);
+    }
+    if (cost_.withRecompute) {
+        for (const Boundary &bd : t.boundaries)
+            c.extra += bd.recomputeOps;
+    }
+    return c;
 }
 
 ScheduleCost

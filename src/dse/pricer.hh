@@ -2,21 +2,35 @@
  * @file
  * Analytical pricer for tiling schedules.
  *
- * Extends the chain-partition cost table (model/group_cost.hh) to the
- * full schedule IR: any (stage range, tile height) pair is tabulated
- * once — exact TilePlan halo geometry per boundary, the pairwise
- * recompute model generalized to multi-row tiles, a pipelined latency
- * estimate through sim/pipeline, and the energy split through
- * model/energy — and every dataflow/retain-mask variant over that
- * range prices as cheap arithmetic on the table. Costs are additive
- * over groups, which is what makes incremental re-pricing (swap one
- * group, subtract old, add new) and the sweep's prefix DP exact.
+ * The one group pricer of the design-space explorer. Any (stage range,
+ * tile height) pair is tabulated once, on first use — exact TilePlan
+ * halo geometry per boundary, the pairwise recompute model generalized
+ * to multi-row tiles, a pipelined latency estimate through
+ * sim/pipeline, and the energy split through model/energy — and every
+ * dataflow/retain-mask variant over that range prices as cheap
+ * arithmetic on the table. Costs are additive over groups, which is
+ * what makes incremental re-pricing (swap one group, subtract old, add
+ * new) and the sweep's prefix DP exact. The formulas themselves live in
+ * model/{transfer,storage,recompute}; the pricer only tabulates them.
  *
- * Chain anchor: a {tileH = 1, Pyramid, all-retain} group prices
- * bit-identically to its GroupCostCache cell on the storage / transfer
- * axes, and its all-recompute variant on the recompute axis (under the
- * default exact storage model), so the chain-restricted subspace
- * reproduces the paper's Figure 7 costs exactly.
+ * Chain cells: chainCell(first, last) reads the paper's Section V
+ * costs of a stage range (storage, transfer and pairwise recompute)
+ * from the range's 1-row table. A {tileH = 1, Pyramid, all-retain}
+ * group prices bit-identically to its chain cell on the storage /
+ * transfer axes, and its all-recompute variant on the recompute axis
+ * (under the default exact storage model), so the chain-restricted
+ * subspace reproduces the paper's Figure 7 costs exactly.
+ *
+ * Known gap on the buffer axis: workingBytes comes from a retaining
+ * TilePlan whatever the retain mask, while dse::executeSchedule runs an
+ * all-recompute group on a retain = false plan whose assembly tiles
+ * span the whole receptive field. The one-group all-recompute schedule
+ * of a 3x20x20 conv-conv-pool-conv net at tileH 2 prices 5896 B of
+ * working buffers where its executed plan holds 10976 B. 25 of the 125
+ * points on VGG-E's default LoopTree front carry a recomputing Pyramid
+ * group, so pricing the executed plan would move that front and the
+ * LoopTree digest perfbench/dse_vgge.cc records for it; the fix has to
+ * land together with a new digest.
  */
 
 #ifndef FLCNN_DSE_PRICER_HH
@@ -29,10 +43,36 @@
 #include "common/opcount.hh"
 #include "dse/schedule.hh"
 #include "model/energy.hh"
-#include "model/group_cost.hh"
 #include "nn/network.hh"
+#include "tensor/precision.hh"
 
 namespace flcnn {
+
+/** Pricing knobs of the storage/transfer cost model. */
+struct GroupCostOptions
+{
+    /** Exact TilePlan-based reuse storage vs the closed form. */
+    bool exactStorage = true;
+
+    /** Add on-chip weight residency for multi-stage groups. */
+    bool includeWeightStorage = false;
+
+    /** Also price the pairwise recompute-model extra mult-adds of the
+     *  chain cells. */
+    bool withRecompute = false;
+
+    /**
+     * Element type the accelerator stores and moves. Every storage and
+     * transfer byte count in the underlying models is elements x 4
+     * (fp32); the pricer rescales both to this dtype's element size, so
+     * fusion partitions re-rank per precision (int8 quarters every
+     * byte cost while extraOps — arithmetic — is unchanged, shifting
+     * the storage/transfer Pareto front). Fp32 is byte-identical to
+     * the unscaled models.
+     */
+    Precision dtype = Precision::Fp32;
+};
+
 namespace dse {
 
 /** First-order machine knobs for the latency estimate (the cost-model
@@ -44,6 +84,16 @@ struct MachineModel
 
     /** DRAM bytes moved per accelerator cycle. */
     int dramBytesPerCycle = 16;
+};
+
+/** One stage range's costs in the paper's chain space (Section V's
+ *  exploration tool). Every field is additive over a partition's
+ *  groups. */
+struct ChainCell
+{
+    int64_t storage = 0;   //!< reuse (+ optional weight) bytes
+    int64_t transfer = 0;  //!< exploration-model transfer bytes
+    int64_t extra = 0;     //!< recompute mult-adds (0 unless priced)
 };
 
 /** Fully priced cost vector of a schedule (or of one group). Every
@@ -70,10 +120,9 @@ struct ScheduleCost
 };
 
 /**
- * Prices schedules over one network. Construction builds the chain
- * cost table (exposed via chainCache() for the Chain sweep's
- * storage/transfer axes); (range, tileH) tables build lazily on first
- * use. Not thread-safe — the sweep owns one pricer per thread-free
+ * Prices schedules over one network. (range, tileH) tables build
+ * lazily on first use, so each range's TilePlan is built once per
+ * pricer. Not thread-safe — the sweep owns one pricer per thread-free
  * phase.
  */
 class SchedulePricer
@@ -84,9 +133,12 @@ class SchedulePricer
                             const MachineModel &machine = {});
 
     const Network &network() const { return net_; }
-    const GroupCostCache &chainCache() const { return cache_; }
     const GroupCostOptions &costOptions() const { return cost_; }
     const MachineModel &machine() const { return machine_; }
+
+    /** Chain-space costs of fusing stages [first, last] as one group
+     *  (1-row all-retain pyramid), under costOptions(). */
+    ChainCell chainCell(int first_stage, int last_stage);
 
     /** Price one group's schedule (all fields of the returned cost are
      *  this group's share). */
@@ -142,7 +194,7 @@ class SchedulePricer
     const Network &net_;
     GroupCostOptions cost_;
     MachineModel machine_;
-    GroupCostCache cache_;
+    int stages_;
     std::unordered_map<uint64_t, GroupTable> tables_;
 };
 

@@ -22,7 +22,8 @@
  *
  * A Schedule whose every group is {tileH = 1, Pyramid, all-retain} is
  * exactly a chain Partition, and the pricer guarantees it prices
- * bit-identically to that partition's GroupCostCache cells.
+ * bit-identically to that partition's chain cells
+ * (SchedulePricer::chainCell).
  */
 
 #ifndef FLCNN_DSE_SCHEDULE_HH

@@ -161,12 +161,12 @@ truncateEvenly(std::vector<T> &front, int cap)
     front = std::move(kept);
 }
 
-/** Per-range terms the chain walk sums: the GroupCostCache cell and
+/** Per-range terms the chain walk sums: the pricer's chain cell and
  *  the surface axes of the fully priced group. Every field is an
  *  integer and additive over groups. */
 struct ChainTerms
 {
-    int64_t storage = 0, transfer = 0, extra = 0;  // GroupCostCache::Cell
+    int64_t storage = 0, transfer = 0, extra = 0;  // ChainCell
     int64_t latency = 0, energy = 0, buffer = 0;   // surfaceAxes()
 
     ChainTerms
@@ -251,7 +251,6 @@ runChainSweep(const Network &net, SchedulePricer &pricer,
               SweepResult &res)
 {
     const int stages = static_cast<int>(net.stages().size());
-    const GroupCostCache &cache = pricer.chainCache();
 
     // Pre-price every stage range's full cost vector serially (the
     // pricer is not thread-safe); the parallel walk below then only
@@ -264,7 +263,7 @@ runChainSweep(const Network &net, SchedulePricer &pricer,
             const size_t at = static_cast<size_t>(a) * stages + b;
             cost3[at] = pricer.priceGroup(
                 GroupSchedule{a, b, 1, Dataflow::Pyramid, ~0u});
-            const GroupCostCache::Cell &c = cache.cell(a, b);
+            const ChainCell c = pricer.chainCell(a, b);
             const ParetoPoint3 ax = surfaceAxes(cost3[at]);
             terms[at] =
                 ChainTerms{c.storage, c.transfer, c.extra, ax.x, ax.y, ax.z};
@@ -390,7 +389,6 @@ runLoopTreeSweep(const Network &net, const SweepOptions &opt,
     // (storage, transfer) axes — additive costs make the prefix-front
     // recursion exact, so the values reproduce the Chain sweep's
     // legacyFront without enumerating 2^(l-1) points.
-    const GroupCostCache &cache = pricer.chainCache();
     struct ChainCand
     {
         Partition part;
@@ -403,7 +401,7 @@ runLoopTreeSweep(const Network &net, const SweepOptions &opt,
     for (int j = 1; j <= stages; j++) {
         std::vector<ChainCand> pool;
         for (int i = 0; i < j; i++) {
-            const GroupCostCache::Cell &cell = cache.cell(i, j - 1);
+            const ChainCell cell = pricer.chainCell(i, j - 1);
             for (const ChainCand &base : G[static_cast<size_t>(i)]) {
                 ChainCand c = base;
                 c.part.push_back(StageGroup{i, j - 1});

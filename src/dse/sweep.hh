@@ -6,7 +6,7 @@
  *
  *  - **Chain** is the paper's Section V tool: it enumerates all
  *    2^(l-1) stage partitions by walking the cut-mask tree, carrying
- *    GroupCostCache cell sums and the fully priced per-range costs
+ *    the pricer's chain-cell sums and the fully priced per-range costs
  *    down each edge, so every point is O(1) amortized. Each point
  *    lands at its cut-mask index (the enumeratePartitions() order), so
  *    the result is the same at any thread count. The storage/transfer
@@ -70,7 +70,7 @@ struct SweepOptions
      *  (clamped to [4, 4096]). */
     int64_t pointBudget = 1'000'000;
 
-    /** Storage/transfer cost-model switches (GroupCostCache). */
+    /** Storage/transfer cost-model switches (SchedulePricer). */
     GroupCostOptions cost;
 
     /** Latency-model knobs. */

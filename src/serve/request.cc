@@ -14,6 +14,7 @@ requestStatusName(RequestStatus s)
       case RequestStatus::Expired:   return "expired";
       case RequestStatus::Cancelled: return "cancelled";
       case RequestStatus::Shed:      return "shed";
+      case RequestStatus::Invalid:   return "invalid";
     }
     return "?";
 }

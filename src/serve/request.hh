@@ -34,6 +34,7 @@ enum class RequestStatus
     Expired,    //!< missed its deadline before compute started
     Cancelled,  //!< server shut down before execution
     Shed,       //!< best-effort request dropped to protect LC budgets
+    Invalid,    //!< refused at admission: input shape is not the model's
 };
 
 const char *requestStatusName(RequestStatus s);

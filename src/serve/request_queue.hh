@@ -49,14 +49,15 @@ enum class OverflowPolicy
 
 const char *overflowPolicyName(OverflowPolicy p);
 
-/** Outcome of RequestQueue::push() (Shed is produced by the server's
- *  admission control, never by the queue itself). */
+/** Outcome of RequestQueue::push() (Shed and Invalid are produced by
+ *  the server's admission control, never by the queue itself). */
 enum class AdmitResult
 {
     Admitted,
     Rejected,  //!< full under the Reject policy
     Closed,    //!< queue closed (server shutting down)
     Shed,      //!< best-effort request dropped to protect LC budget
+    Invalid,   //!< input shape does not match the model's input
 };
 
 /** Bounded MPMC queue of inference requests. */

@@ -207,10 +207,21 @@ InferenceServer::submitImpl(int model, Tensor &&input,
     res.handle = handlePool->acquire();
     statsHub.onSubmitted();
 
+    // A request the engines cannot run is refused here, with a typed
+    // status, instead of failing an executor assertion in a worker.
+    const ModelSpec &spec = specs[static_cast<size_t>(model)];
+    if (!(input.shape() == spec.net->inShape(spec.firstLayer))) {
+        statsHub.onInvalid();
+        lease.release();
+        res.admit = AdmitResult::Invalid;
+        res.handle->complete(RequestStatus::Invalid, Tensor(),
+                             ArenaLease(), 0.0, 0.0, -1, -1, 0);
+        return res;
+    }
+
     // Admission control: shedding protects the latency-critical
     // budget from best-effort pressure before the queue sees it.
-    if (specs[static_cast<size_t>(model)].slo == SloClass::BestEffort &&
-        shouldShed()) {
+    if (spec.slo == SloClass::BestEffort && shouldShed()) {
         statsHub.onShed();
         lease.release();
         res.admit = AdmitResult::Shed;
@@ -244,7 +255,8 @@ InferenceServer::submitImpl(int model, Tensor &&input,
                              ArenaLease(), 0.0, 0.0, -1, -1, 0);
         break;
       case AdmitResult::Shed:
-        panic("queue returned Shed");  // server-side outcome only
+      case AdmitResult::Invalid:
+        panic("queue returned a server-side admission outcome");
     }
     // On Rejected/Closed `qr` kept its input and lease (push() only
     // consumes admitted items); both free here as qr goes out of

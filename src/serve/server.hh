@@ -154,8 +154,8 @@ class InferenceServer
      * Copying submission path: submit one image for @p model by value
      * (moved in; no further copies downstream). Thread-safe. Blocks
      * only under the Block overflow policy when the queue is full.
-     * Rejected / closed / shed submissions return an
-     * already-completed handle.
+     * Rejected / closed / shed / invalid (wrong input shape)
+     * submissions return an already-completed handle.
      */
     SubmitResult submit(int model, Tensor input);
 

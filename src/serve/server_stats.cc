@@ -188,6 +188,13 @@ ServerStats::onShed()
 }
 
 void
+ServerStats::onInvalid()
+{
+    std::lock_guard<std::mutex> lk(mu);
+    nInvalid++;
+}
+
+void
 ServerStats::onBatch(int model, int size)
 {
     (void)model;
@@ -248,6 +255,7 @@ FLCNN_STATS_GET(rejected, nRejected)
 FLCNN_STATS_GET(expired, nExpired)
 FLCNN_STATS_GET(cancelled, nCancelled)
 FLCNN_STATS_GET(shed, nShed)
+FLCNN_STATS_GET(invalid, nInvalid)
 FLCNN_STATS_GET(completed, nCompleted)
 FLCNN_STATS_GET(batches, nBatches)
 
@@ -356,6 +364,7 @@ ServerStats::registerInto(MetricsRegistry &reg) const
     reg.addCounter("serve:queue", "expired", nExpired);
     reg.addCounter("serve:queue", "cancelled", nCancelled);
     reg.addCounter("serve:queue", "shed", nShed);
+    reg.addCounter("serve:queue", "invalid", nInvalid);
     reg.addCounter("serve:queue", "completed", nCompleted);
     reg.addCounter("serve:batch", "batches", nBatches);
     reg.setGauge("serve:batch", "mean_size",

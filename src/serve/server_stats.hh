@@ -135,6 +135,7 @@ class ServerStats
     void onExpired();
     void onCancelled();
     void onShed();
+    void onInvalid();
     void onBatch(int model, int size);
     /** One executed request: updates the three latency histograms, the
      *  completed counter, per-worker tallies, and the span log. */
@@ -147,6 +148,7 @@ class ServerStats
     int64_t expired() const;
     int64_t cancelled() const;
     int64_t shed() const;
+    int64_t invalid() const;
     int64_t completed() const;
     int64_t batches() const;
     double maxBatchSeen() const;
@@ -175,10 +177,11 @@ class ServerStats
 
     /**
      * Publish into @p reg: scope "serve:queue" (submitted / admitted /
-     * rejected / expired / cancelled counters), "serve:batch"
-     * (batches, mean/max size gauges), "serve:latency:<kind>" for
-     * total / queue_wait / compute (completed count as a counter;
-     * p50/p95/p99/max/mean microsecond gauges), and
+     * rejected / expired / cancelled / shed / invalid counters),
+     * "serve:batch" (batches, mean/max size gauges),
+     * "serve:latency:<kind>" for total / queue_wait / compute
+     * (completed count as a counter; p50/p95/p99/max/mean microsecond
+     * gauges), and
      * "serve:worker:<w>" per-worker completed counters and busy-time
      * gauges.
      */
@@ -201,6 +204,7 @@ class ServerStats
     int64_t nExpired = 0;
     int64_t nCancelled = 0;
     int64_t nShed = 0;
+    int64_t nInvalid = 0;
     int64_t nCompleted = 0;
     int64_t nBatches = 0;
     int64_t batchItems = 0;

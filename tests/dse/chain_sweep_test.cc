@@ -207,9 +207,9 @@ TEST(Explorer, DtypeThreadsThroughExploration)
     }
 }
 
-TEST(GroupCostCache, ExplorerMatchesBruteForceSweep)
+TEST(Explorer, MatchesBruteForceSweep)
 {
-    // The cached, mask-tree Chain sweep must reproduce the obvious
+    // The table-driven, mask-tree Chain sweep must reproduce the obvious
     // implementation — enumerate every partition, price it with the
     // models directly, take the Pareto front — in enumeration order.
     Network net = vggEPrefix(5);

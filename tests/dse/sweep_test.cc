@@ -13,6 +13,9 @@
 
 #include "dse/exec.hh"
 #include "dse/sweep.hh"
+#include "model/recompute.hh"
+#include "model/storage.hh"
+#include "model/transfer.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
 #include "tensor/compare.hh"
@@ -22,17 +25,24 @@ namespace dse {
 namespace {
 
 /** The brute-force Chain oracle: every enumeratePartitions() entry
- *  priced by GroupCostCache::price, in enumeration order. */
+ *  priced with the per-partition models directly, in enumeration
+ *  order, with fp32 bytes rescaled to the priced dtype (weight
+ *  residency is not modelled; Explorer.MatchesBruteForceSweep covers
+ *  it). */
 std::vector<DesignPoint>
 bruteForcePoints(const Network &net, const GroupCostOptions &cost)
 {
-    const GroupCostCache cache(net, cost);
+    const int64_t eb = precisionElemBytes(cost.dtype);
     std::vector<DesignPoint> points;
     for (const Partition &p :
          enumeratePartitions(static_cast<int>(net.stages().size()))) {
         DesignPoint d;
-        cache.price(p, d);
         d.partition = p;
+        d.storageBytes =
+            partitionReuseStorageBytes(net, p, cost.exactStorage) / 4 * eb;
+        d.transferBytes = partitionTransferBytes(net, p) / 4 * eb;
+        if (cost.withRecompute)
+            d.extraOps = partitionPairwiseRecomputeExtraMultAdds(net, p);
         points.push_back(std::move(d));
     }
     return points;

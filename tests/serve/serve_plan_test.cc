@@ -28,6 +28,7 @@
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
+#include "obs/metrics.hh"
 #include "serve/server.hh"
 #include "tensor/compare.hh"
 
@@ -245,6 +246,10 @@ TEST(ServePlanDeath, AddModelRejectsUnsupportedPlanTyped)
     // A network whose tail is a fully-connected head cannot compile
     // onto a fused engine: registration dies with the typed status in
     // the message instead of silently serving the reference path.
+    // The global thread pool is already running when this test runs in
+    // a whole-binary process; re-exec the death child instead of a
+    // plain fork that would leave it without its workers.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     Network net("conv-fc", Shape{2, 6, 6});
     net.add(LayerSpec::conv("c", 4, 3, 1));
     net.add(LayerSpec::relu("r"));
@@ -277,6 +282,53 @@ TEST(ServePlanDeath, AddModelRejectsUnsupportedPlanTyped)
     ASSERT_EQ(h->wait(), RequestStatus::Ok);
     EXPECT_TRUE(tensorsEqual(golden, h->output()));
     server.drainAndStop();
+}
+
+TEST(ServeAdmission, WrongShapeIsInvalidAndServingContinues)
+{
+    // A request whose input is not the model's input shape completes
+    // as Invalid at admission; the server keeps serving and the
+    // admission ledger still balances.
+    Network net("conv-pool", Shape{3, 20, 20});
+    net.add(LayerSpec::conv("c", 4, 3, 1));
+    net.add(LayerSpec::relu("r"));
+    net.addMaxPool("p", 2, 2);
+    Rng rng(21);
+    NetworkWeights w(net, rng);
+    Tensor good(net.inputShape());
+    Rng irng(22);
+    good.fillRandom(irng);
+    const Tensor golden = runRange(net, w, good, 0, net.numLayers() - 1);
+
+    for (PlanEngine kind : {PlanEngine::LineBuffer, PlanEngine::Reference}) {
+        SCOPED_TRACE(planEngineName(kind));
+        ServeConfig cfg;
+        cfg.engine = kind;
+        InferenceServer server(cfg);
+        server.addModel("m", net, w);
+        server.start();
+
+        SubmitResult bad = server.submit(0, Tensor(Shape{3, 21, 20}));
+        EXPECT_EQ(bad.admit, AdmitResult::Invalid);
+        ASSERT_EQ(bad.handle->wait(), RequestStatus::Invalid);
+
+        SubmitResult ok = server.submit(0, Tensor(good));
+        EXPECT_EQ(ok.admit, AdmitResult::Admitted);
+        ASSERT_EQ(ok.handle->wait(), RequestStatus::Ok);
+        EXPECT_TRUE(tensorsEqual(golden, ok.handle->output()));
+        server.drainAndStop();
+
+        const ServerStats &st = server.stats();
+        EXPECT_EQ(st.submitted(), 2);
+        EXPECT_EQ(st.invalid(), 1);
+        EXPECT_EQ(st.completed(), 1);
+        EXPECT_EQ(st.submitted(), st.admitted() + st.rejected() +
+                                      st.cancelled() + st.shed() +
+                                      st.invalid());
+        MetricsRegistry reg;
+        server.registerMetrics(reg);
+        EXPECT_EQ(reg.counter("serve:queue", "invalid"), 1);
+    }
 }
 
 } // namespace
