@@ -24,7 +24,7 @@
 #include "common/clock.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
-#include "fusion/line_buffer_executor.hh"
+#include "fusion/fused_executor.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
 #include "tensor/compare.hh"
@@ -84,8 +84,10 @@ void
 BM_FusedLineBuffer(benchmark::State &state)
 {
     Setup s(static_cast<int>(state.range(0)));
-    LineBufferExecutor exec(s.net, s.weights, 0, s.net.numLayers() - 1,
-                            static_cast<int>(state.range(1)));
+    const int last = s.net.numLayers() - 1;
+    const int tip = static_cast<int>(state.range(1));
+    FusedExecutor exec(s.net, s.weights,
+                       TilePlan(s.net, 0, last, tip, s.net.outShape(last).w));
     for (auto _ : state) {
         Tensor out = exec.run(s.input);
         benchmark::DoNotOptimize(out.data());
@@ -166,7 +168,8 @@ vggThreadSweep(int scale, int configured_threads)
                   fmtF(s_ref, 2), fmtF(ref_1t / s_ref, 2) + "x",
                   fmtF(ra.maxAbsDiff, 1)});
 
-        LineBufferExecutor exec(net, weights, 0, last, 8);
+        FusedExecutor exec(net, weights,
+                           TilePlan(net, 0, last, 8, net.outShape(last).w));
         Tensor b;
         double s_fused =
             timeOnce([&] { return exec.run(input); }, &b);
@@ -243,8 +246,10 @@ main(int argc, char **argv)
               std::to_string(planes / 1024) + " KB of planes"});
     bool match = true;
     for (int block : {1, 4, 8, 16}) {
-        LineBufferExecutor exec(s.net, s.weights, 0,
-                                s.net.numLayers() - 1, block);
+        const int last = s.net.numLayers() - 1;
+        FusedExecutor exec(
+            s.net, s.weights,
+            TilePlan(s.net, 0, last, block, s.net.outShape(last).w));
         double best_fused = 1e30;
         for (int rep = 0; rep < 3; rep++) {
             best_fused = std::min(
@@ -255,7 +260,7 @@ main(int argc, char **argv)
         t.addRow({"fused, row block " + std::to_string(block),
                   fmtF(best_fused, 2),
                   fmtF(best_ref / best_fused, 2) + "x",
-                  std::to_string(exec.bufferBytes() / 1024) +
+                  std::to_string(exec.ringBytes() / 1024) +
                       " KB of line buffers"});
     }
     t.print();

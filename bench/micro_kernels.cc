@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks for the library's hot paths:
  * pyramid-plan construction, whole-space exploration, the balance
- * search, and the fused executors (the pyramid one under reuse and
- * under recompute, and the line buffer). These are regression guards
+ * search, and the fused executor (under reuse, under recompute, and
+ * over one-column line-buffer plans). These are regression guards
  * for the tooling itself (the paper's "explored in just a few minutes"
  * claim is about this code path), not paper experiments.
  */
@@ -14,7 +14,6 @@
 
 #include "dse/sweep.hh"
 #include "fusion/fused_executor.hh"
-#include "fusion/line_buffer_executor.hh"
 #include "kernels/conv_kernels.hh"
 #include "kernels/weight_pack.hh"
 #include "model/balance.hh"
@@ -397,8 +396,10 @@ void
 BM_LineBufferExecutorMicro(benchmark::State &state)
 {
     ExecFixture f;
-    LineBufferExecutor exec(f.net, f.weights, 0, f.net.numLayers() - 1,
-                            static_cast<int>(state.range(0)));
+    const int last = f.net.numLayers() - 1;
+    const int tip = static_cast<int>(state.range(0));
+    FusedExecutor exec(f.net, f.weights,
+                       TilePlan(f.net, 0, last, tip, f.net.outShape(last).w));
     for (auto _ : state) {
         Tensor out = exec.run(f.input);
         benchmark::DoNotOptimize(out.data());

@@ -45,7 +45,6 @@
 #include "common/thread_pool.hh"
 #include "common/units.hh"
 #include "fusion/fused_executor.hh"
-#include "fusion/line_buffer_executor.hh"
 #include "kernels/conv_kernels.hh"
 #include "nn/autotune_net.hh"
 #include "nn/precision.hh"
@@ -226,7 +225,8 @@ main(int argc, char **argv)
 
         FusedExecutor fexec(net, weights, TilePlan(net, 0, last, 2, 2));
         fexec.setPrecision(&prec);
-        LineBufferExecutor lexec(net, weights, 0, last);
+        FusedExecutor lexec(net, weights,
+                            TilePlan(net, 0, last, 1, net.outShape(last).w));
         lexec.setPrecision(&prec);
         FusedExecutor rexec(net, weights,
                             TilePlan(net, 0, last, 2, 2, /*retain=*/false));
@@ -285,7 +285,8 @@ main(int argc, char **argv)
 
         FusedExecutor fexec(net, weights, TilePlan(net, 0, last, 2, 2));
         fexec.setFastMath(true);
-        LineBufferExecutor lexec(net, weights, 0, last);
+        FusedExecutor lexec(net, weights,
+                            TilePlan(net, 0, last, 1, net.outShape(last).w));
         lexec.setFastMath(true);
         FusedExecutor rexec(net, weights,
                             TilePlan(net, 0, last, 2, 2, /*retain=*/false));

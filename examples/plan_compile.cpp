@@ -15,7 +15,8 @@
  *   --json    emit a machine-readable report (schema flcnn-plan-v1)
  *   --check   exit non-zero unless every compile succeeded and the
  *             silent_fallbacks counter is zero
- *   --tip N   pyramid tip for the Fused/Recompute engines (default 1)
+ *   --tip N   pyramid tip: tip x tip pixels for Fused/Recompute, tip
+ *             full-width rows for LineBuffer (default 1)
  */
 
 #include <cstdio>

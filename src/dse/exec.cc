@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "fusion/fused_executor.hh"
-#include "fusion/line_buffer_executor.hh"
 #include "nn/reference.hh"
 
 namespace flcnn {
@@ -52,18 +51,16 @@ executeSchedule(const Network &net, const NetworkWeights &weights,
         int fl, ll;
         groupLayerRange(net, StageGroup{g.firstStage, g.lastStage}, fl,
                         ll);
-        const uint32_t meaningful = meaningfulRetainBits(net, g);
         if (g.size() == 1) {
             cur = runRange(net, weights, cur, fl, ll);
-        } else if ((g.retainMask & meaningful) == meaningful) {
-            LineBufferExecutor exec(net, weights, fl, ll,
-                                    /*row_block=*/g.tileH);
-            cur = exec.run(cur);
         } else {
-            // All-recompute: the priced tile, tileH rows x 1 column.
-            FusedExecutor exec(net, weights,
-                               TilePlan(net, fl, ll, g.tileH, 1,
-                                        /*retain=*/false));
+            // The plan the pricer prices: tileH rows x 1 column tiles,
+            // every halo retained or every halo recomputed.
+            const uint32_t meaningful = meaningfulRetainBits(net, g);
+            FusedExecutor exec(
+                net, weights,
+                TilePlan(net, fl, ll, g.tileH, 1,
+                         (g.retainMask & meaningful) == meaningful));
             cur = exec.run(cur);
         }
     }

@@ -1,16 +1,14 @@
 /**
  * @file
  * Executor bridge: run the subset of schedules the host-side fused
- * executors realize, for spot differential validation of priced
+ * executor realizes, for spot differential validation of priced
  * designs.
  *
- * The line-buffer executor's row_block knob IS the IR's pyramid tile
- * height — a retained multi-row Pyramid schedule maps group-by-group
- * onto LineBufferExecutor(first, last, row_block = tileH). An
- * all-recompute Pyramid group (every meaningful retain bit clear) runs
- * on FusedExecutor over TilePlan(first, last, tileH, 1, retain =
- * false): the same tileH x 1 tile the pricer prices, with no reuse
- * buffers. A singleton group is plain layer-by-layer evaluation.
+ * A multi-stage Pyramid group runs on FusedExecutor over exactly the
+ * plan the pricer prices, TilePlan(first, last, tileH, 1, retain):
+ * tileH x 1 tiles, with retain = true when every meaningful retain
+ * bit is set and false when none is. A singleton group is plain
+ * layer-by-layer evaluation.
  * Groups that mix retained and recomputed boundaries, Independent
  * tiles, and the UniformStride dataflow have no host executor (they
  * are cost-model constructs); those schedules are priced but not
@@ -30,7 +28,7 @@ namespace flcnn {
 namespace dse {
 
 /**
- * Why @p s cannot be executed by the host executors, or the empty
+ * Why @p s cannot be executed by the host executor, or the empty
  * string when it can: every multi-stage group must be a Pyramid that
  * either retains all its meaningful halos or recomputes all of them
  * (any tile height). Invalid schedules return the validation error.
@@ -39,10 +37,10 @@ std::string scheduleExecutableReason(const Network &net,
                                      const Schedule &s);
 
 /**
- * Execute @p s on @p input: each retained multi-stage group runs
- * through LineBufferExecutor with row_block = tileH, each
- * all-recompute group through FusedExecutor on a tileH x 1 recompute
- * plan, each singleton group layer by layer, groups chained in order.
+ * Execute @p s on @p input: each multi-stage group runs through
+ * FusedExecutor on its priced tileH x 1 plan (retaining or
+ * recomputing), each singleton group layer by layer, groups chained
+ * in order.
  * Bit-identical to nn::runRange over the whole layer range — the
  * differential check for priced schedules. Panics if
  * scheduleExecutableReason() is non-empty.

@@ -58,7 +58,8 @@ meaningfulRetainBits(const Network &net, const GroupSchedule &g)
                 bits |= uint32_t{1} << k;
         }
         k++;
-        FLCNN_ASSERT(k <= 32, "group has more than 32 windowed layers");
+        FLCNN_ASSERT(k <= kMaxGroupWindowed,
+                     "group has more than 32 windowed layers");
     }
     return bits;
 }
@@ -74,6 +75,19 @@ validateSchedule(const Network &net, const Schedule &s)
     for (size_t gi = 0; gi < s.groups.size(); gi++) {
         const GroupSchedule &g = s.groups[gi];
         char buf[160];
+        int first_layer, last_layer;
+        groupLayerRange(net, StageGroup{g.firstStage, g.lastStage},
+                        first_layer, last_layer);
+        int windowed = 0;
+        for (int i = first_layer; i <= last_layer; i++)
+            windowed += net.layer(i).windowed() ? 1 : 0;
+        if (windowed > kMaxGroupWindowed) {
+            std::snprintf(buf, sizeof buf,
+                          "group %zu: %d windowed layers, more than the "
+                          "%d retain bits of a group",
+                          gi, windowed, kMaxGroupWindowed);
+            return buf;
+        }
         if (g.tileH < 1 || g.tileH > kMaxTileH) {
             std::snprintf(buf, sizeof buf,
                           "group %zu: tile height %d outside [1, %d]", gi,
@@ -81,9 +95,6 @@ validateSchedule(const Network &net, const Schedule &s)
             return buf;
         }
         if (g.flow == Dataflow::UniformStride && g.size() > 1) {
-            int first_layer, last_layer;
-            groupLayerRange(net, StageGroup{g.firstStage, g.lastStage},
-                            first_layer, last_layer);
             int stride = 0;
             for (int i = first_layer; i <= last_layer; i++) {
                 const LayerSpec &spec = net.layer(i);

@@ -112,12 +112,16 @@ struct Schedule
  *  well past any plane height in the zoo). */
 constexpr int kMaxTileH = 4096;
 
+/** Most windowed layers one group may hold: one retain bit each. */
+constexpr int kMaxGroupWindowed = 32;
+
 /**
  * Validate @p s against @p net: groups must cover the fusable stages
- * contiguously and exhaustively, tile heights must lie in
- * [1, kMaxTileH], and UniformStride groups must have one common stride
- * across their windowed layers. Returns an error message, or the empty
- * string when valid.
+ * contiguously and exhaustively, hold at most kMaxGroupWindowed
+ * windowed layers each, tile heights must lie in [1, kMaxTileH], and
+ * UniformStride groups must have one common stride across their
+ * windowed layers. Returns an error message, or the empty string when
+ * valid.
  */
 std::string validateSchedule(const Network &net, const Schedule &s);
 

@@ -41,7 +41,7 @@ ConvRowDriver::stageRows(Layer &layer, int slot, const ConvRows &r)
     const Shape &s = r.src->shape();
     const Precision mode = precision->mode();
     layer.stage.configure(mode, s.c, s.h, s.w);
-    // Serial and elementwise, so restaging a row is idempotent; a ring
+    // Serial and elementwise, so restaging a rect is idempotent; a ring
     // range is staged as at most two contiguous runs of its slots.
     for (int y = r.stageBegin; y < r.stageEnd;) {
         const int at = r.ringRows > 0 ? y % r.ringRows : y;
@@ -50,9 +50,10 @@ ConvRowDriver::stageRows(Layer &layer, int slot, const ConvRows &r)
                             : r.stageEnd - y;
         if (mode == Precision::Int8) {
             stageConvInputI8(layer.stage, *r.src, precision->actQuant(slot),
-                             at, at + len);
+                             at, at + len, r.stageX0, r.stageX1);
         } else {
-            stageConvInputF16(layer.stage, *r.src, at, at + len);
+            stageConvInputF16(layer.stage, *r.src, at, at + len, r.stageX0,
+                              r.stageX1);
         }
         y += len;
     }
@@ -112,7 +113,9 @@ ConvRowDriver::run(int li, const ConvRows &r)
                     const int sr = y * s + r.srcRow0 + i;
                     row_idx[i] = r.ringRows > 0 ? sr % r.ringRows : sr;
                 }
-                float *dst = r.dst + y * r.rowStride;
+                const int dy =
+                    r.dstRing > 0 ? (r.dstRow0 + y) % r.dstRing : y;
+                float *dst = r.dst + dy * r.rowStride;
                 if (p8) {
                     convBlockRowI8(plan.bkI8, *p8, bi,
                                    dst + p8->block(bi).m0 * r.chStride,

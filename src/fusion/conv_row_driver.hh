@@ -2,21 +2,20 @@
  * @file
  * ConvRowDriver: the one place the fused executors run a conv plan.
  *
- * The pyramid (FusedExecutor, under reuse or recompute) and
- * row-streaming (LineBufferExecutor) dataflows differ in their loop
- * nests, not in how a block of conv output rows is computed. Each
- * hands the driver a ConvRows description — plain values naming the
- * fp32 source buffer, which of its rows feed which output row, and
- * where the results land — and the driver does the rest for every
- * precision mode: stage the source rows into the mode's compute format
- * (kernels/conv_layer.hh), fetch the packed bank from its
- * WeightPackCache, and run the planned kernel over (filter-block x
+ * FusedExecutor hands the driver a ConvRows description for every
+ * pyramid's conv block — plain values naming the layer's input ring,
+ * which of its rows feed which output row, and where the results land
+ * (the next windowed layer's ring, a fresh buffer or the group output)
+ * — and the driver does the rest for every precision mode: stage the
+ * rect written into the ring since the previous block into the mode's
+ * compute format (kernels/conv_layer.hh), fetch the packed bank from
+ * its WeightPackCache, and run the planned kernel over (filter-block x
  * output-row) work items on the thread pool.
  *
  * It also owns what goes with running a plan: the per-layer ConvPlan
  * (planConv(), refreshed only when the tune cache's revision moves or
  * a setter invalidates it), the per-layer staging buffers, and the
- * pack hit/miss deltas the executors report as metrics.
+ * pack hit/miss deltas the executor reports as metrics.
  *
  * Determinism: every (filter-block, row) work item writes a disjoint
  * output strip, and the blocked kernels keep each (filter, pixel)
@@ -24,7 +23,7 @@
  * serial and elementwise. Results are bit-identical to nn::runRange
  * under the same precision at every thread count. runRange itself
  * deliberately does not use the driver: it stays the independent
- * oracle the executors are tested against.
+ * oracle the executor is tested against.
  */
 
 #ifndef FLCNN_FUSION_CONV_ROW_DRIVER_HH
@@ -49,25 +48,30 @@ class MetricsRegistry;
 /**
  * One block of a conv layer's output rows. Output row y (0 <= y <
  * rows) reads, for kernel row i, source row y * S + srcRow0 + i —
- * taken mod ringRows when ringRows > 0 (the line buffer's circular
- * store) — at columns x0 + t * S for t in [0, count). Filter m's pixel
- * t lands at dst[m * chStride + y * rowStride + t].
+ * taken mod ringRows when ringRows > 0 (a full-width row ring) — at
+ * columns x0 + t * S for t in [0, count). Filter m's pixel t lands at
+ * dst[m * chStride + y' * rowStride + t], where y' = y, or (dstRow0 +
+ * y) mod dstRing when the block is written into the consumer's ring.
  */
 struct ConvRows
 {
-    const Tensor *src = nullptr;  //!< fp32 source: tile or ring
+    const Tensor *src = nullptr;  //!< fp32 source (the layer's ring)
     int ringRows = 0;             //!< > 0: source rows wrap (ring)
     int srcRow0 = 0;              //!< source row of (y = 0, i = 0)
     int x0 = 0;                   //!< source column of pixel 0
     int rows = 0;                 //!< output rows in the block
     int count = 0;                //!< output pixels per row
-    float *dst = nullptr;         //!< filter 0, row 0, pixel 0
+    float *dst = nullptr;         //!< filter 0, row y' = 0, pixel 0
     int64_t chStride = 0;         //!< dst distance between filters
     int64_t rowStride = 0;        //!< dst distance between rows
-    /** Source rows [stageBegin, stageEnd) (mod ringRows) to convert
-     *  into the precision's compute format before computing; ignored
-     *  in fp32. */
+    int dstRing = 0;              //!< > 0: dst rows wrap (ring)
+    int dstRow0 = 0;              //!< ring row of output row 0
+    /** Source rect rows [stageBegin, stageEnd) (mod ringRows) x
+     *  columns [stageX0, stageX1) to convert into the precision's
+     *  compute format before computing: what was written into the
+     *  source since the previous block. Ignored in fp32. */
     int stageBegin = 0, stageEnd = 0;
+    int stageX0 = 0, stageX1 = 0;
 };
 
 /** Plans, packs, stages and runs the conv layers of one fused range. */

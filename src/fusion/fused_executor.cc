@@ -11,167 +11,177 @@
 
 namespace flcnn {
 
+namespace {
+
+/** Parallel grain, in rows, for a row loop whose rows each cost
+ *  @p row_cost element operations: small rects stay on one thread
+ *  instead of waking the pool for a few hundred elements. */
+int64_t
+rowGrain(int64_t row_cost)
+{
+    constexpr int64_t kChunkCost = 4096;
+    return std::max<int64_t>(1, kChunkCost / std::max<int64_t>(1, row_cost));
+}
+
+} // namespace
+
 FusedExecutor::FusedExecutor(const Network &network,
                              const NetworkWeights &w, TilePlan plan)
     : net(network), tplan(std::move(plan)),
       conv(network, w, tplan.firstLayer(), tplan.lastLayer())
 {
-    int n = tplan.numFusedLayers();
+    const int n = tplan.numFusedLayers();
     states.resize(static_cast<size_t>(n));
-    for (int li = 0; li < n; li++) {
+    for (int li = n - 1; li >= 0; li--) {
         const LayerGeom &g = tplan.geom(li);
         const LayerSpec &spec = net.layer(g.layerIdx);
         LayerState &st = states[static_cast<size_t>(li)];
 
+        // The output lands in the next windowed layer's ring, or in the
+        // group output; ReLU / LRN on the way share it, and a Pad on
+        // the way shifts it by its padding.
+        if (li < n - 1) {
+            const LayerGeom &next = tplan.geom(li + 1);
+            const LayerSpec &nspec = net.layer(next.layerIdx);
+            const LayerState &nst = states[static_cast<size_t>(li + 1)];
+            if (next.windowed) {
+                st.sinkLayer = li + 1;
+            } else {
+                st.sinkLayer = nst.sinkLayer;
+                st.shift = nst.shift +
+                           (nspec.kind == LayerKind::Pad ? nspec.pad : 0);
+            }
+        }
+        if (spec.kind == LayerKind::LRN) {
+            st.scratch = Tensor(g.outPlane.c, std::max(1, g.maxFreshOutH),
+                                std::max(1, g.maxFreshOutW));
+        }
+
         if (g.windowed) {
-            st.tile = Tensor(g.inPlane.c, std::max(1, g.maxTileH),
-                             std::max(1, g.maxTileW));
-            if (g.overlapX > 0)
-                st.bl = Tensor(g.inPlane.c, std::max(1, g.maxTileH),
-                               g.overlapX);
-            if (g.overlapY > 0)
-                st.bt = Tensor(g.inPlane.c, g.overlapY, g.inPlane.w);
-        }
-
-        bool owns_fresh = g.windowed || spec.kind == LayerKind::Pad ||
-                          li == 0;
-        if (owns_fresh) {
-            st.fresh = Tensor(g.outPlane.c, std::max(1, g.maxFreshOutH),
-                              std::max(1, g.maxFreshOutW));
-            st.freshOwner = li;
+            // The rows live at one pyramid row: the tile plus whatever
+            // the producer writes there (wider than the tile only when
+            // K < S leaves rows between windows).
+            int rows = 1;
+            for (int r = 0; r < tplan.numPyramidRows(); r++) {
+                if (!g.isActiveY(r))
+                    continue;
+                Span live = g.inY[static_cast<size_t>(r)];
+                if (li > 0) {
+                    const Span wy = tplan.geom(li - 1).freshOutY(r);
+                    if (!wy.empty()) {
+                        live.begin = std::min(live.begin, wy.begin);
+                        live.end = std::max(live.end, wy.end);
+                    }
+                }
+                rows = std::max(rows, live.width());
+            }
+            st.ringRows = rows;
+            st.ring = Tensor(g.inPlane.c, rows, g.inPlane.w);
         }
     }
 }
 
-void
-FusedExecutor::copyRect(const Tensor &src, Span src_y, Span src_x,
-                        Tensor &dst, Span dst_y, Span dst_x, Span rect_y,
-                        Span rect_x)
+int64_t
+FusedExecutor::ringBytes() const
 {
-    if (rect_y.empty() || rect_x.empty())
+    int64_t bytes = 0;
+    for (const LayerState &st : states)
+        bytes += st.ring.shape().bytes();
+    return bytes;
+}
+
+int64_t
+FusedExecutor::bufferBytes() const
+{
+    int64_t bytes = 0;
+    for (const LayerState &st : states)
+        bytes += st.ring.shape().bytes() + st.scratch.shape().bytes();
+    return bytes;
+}
+
+FusedExecutor::PlaneRef
+FusedExecutor::outRef(int li)
+{
+    const LayerState &st = states[static_cast<size_t>(li)];
+    PlaneRef p;
+    p.shift = st.shift;
+    if (st.sinkLayer < 0) {
+        const Shape &s = groupOutput->shape();
+        p.base = groupOutput->data();
+        p.chStride = static_cast<int64_t>(s.h) * s.w;
+        p.rowStride = s.w;
+        return p;
+    }
+    LayerState &own = states[static_cast<size_t>(st.sinkLayer)];
+    p.base = own.ring.data();
+    p.rowStride = own.ring.shape().w;
+    p.chStride = own.ringRows * p.rowStride;
+    p.ring = own.ringRows;
+    return p;
+}
+
+FusedExecutor::PlaneRef
+FusedExecutor::inRef(int li)
+{
+    if (li > 0)
+        return outRef(li - 1);
+    // The group input is only ever read through this reference.
+    const Shape &s = groupInput->shape();
+    PlaneRef p;
+    p.base = const_cast<float *>(groupInput->data());
+    p.chStride = static_cast<int64_t>(s.h) * s.w;
+    p.rowStride = s.w;
+    return p;
+}
+
+void
+FusedExecutor::traceRect(bool write, const Tensor &plane, uint64_t base,
+                         Span y, Span x)
+{
+    if (!traceSink || y.empty() || x.empty())
         return;
-    FLCNN_ASSERT(src.shape().c == dst.shape().c,
-                 "rect copy across differing channel counts");
-    for (int ch = 0; ch < src.shape().c; ch++) {
-        for (int gy = rect_y.begin; gy < rect_y.end; gy++) {
-            for (int gx = rect_x.begin; gx < rect_x.end; gx++) {
-                dst(ch, gy - dst_y.begin, gx - dst_x.begin) =
-                    src(ch, gy - src_y.begin, gx - src_x.begin);
-            }
-        }
-    }
-}
-
-FusedExecutor::LayerState &
-FusedExecutor::producerState(int li)
-{
-    FLCNN_ASSERT(li > 0, "the first fused layer has no producer");
-    LayerState &prev = states[static_cast<size_t>(li - 1)];
-    FLCNN_ASSERT(prev.freshOwner >= 0, "producer owns no fresh buffer");
-    return states[static_cast<size_t>(prev.freshOwner)];
-}
-
-void
-FusedExecutor::assembleTile(int li, int r, int c)
-{
-    const LayerGeom &g = tplan.geom(li);
-    LayerState &st = states[static_cast<size_t>(li)];
-
-    Span ty = g.inY[static_cast<size_t>(r)];
-    Span tx = g.inX[static_cast<size_t>(c)];
-    Span fy = g.freshInY(r);
-    Span fx = g.freshInX(c);
-    st.tileY = ty;
-    st.tileX = tx;
-
-    // Top strip [ty.begin, fy.begin) x full tile width, from BT.
-    Span top{ty.begin, fy.begin};
-    if (!top.empty()) {
-        FLCNN_ASSERT(st.bt.elems() > 0, "top overlap without a BT buffer");
-        FLCNN_ASSERT(tx.begin >= st.btWatermark,
-                     "BT read raced ahead of the safe-write watermark");
-        FLCNN_ASSERT(top.begin >= st.btBaseOld,
-                     "BT read below the retained strip");
-        copyRect(st.bt, Span{st.btBaseOld, st.btBaseOld}, Span{0, 0},
-                 st.tile, ty, tx, top, tx);
-    }
-
-    // Left strip [fy.begin, ty.end) x [tx.begin, fx.begin), from BL.
-    Span left{tx.begin, fx.begin};
-    Span body{fy.begin, ty.end};
-    if (!left.empty() && !body.empty()) {
-        FLCNN_ASSERT(st.bl.elems() > 0, "left overlap without a BL buffer");
-        copyRect(st.bl, st.blY, st.blX, st.tile, ty, tx, body, left);
-    }
-
-    // Fresh corner [fy.begin, ty.end) x [fx.begin, tx.end).
-    if (!fy.empty() && !fx.empty()) {
-        if (li == 0) {
-            copyRect(*groupInput, Span{0, 0}, Span{0, 0}, st.tile, ty, tx,
-                     fy, fx);
-            curStats.loadedBytes += static_cast<int64_t>(fy.width()) *
-                                    fx.width() * g.inPlane.c * 4;
-            if (traceSink) {
-                for (int ch = 0; ch < g.inPlane.c; ch++)
-                    for (int gy = fy.begin; gy < fy.end; gy++)
-                        trace(false,
-                              traceInputBase +
-                                  static_cast<uint64_t>(groupInput->idx(
-                                      ch, gy, fx.begin)) * 4,
-                              static_cast<int64_t>(fx.width()) * 4);
-            }
-        } else {
-            // The producer delivers the full-span diff; the tile only
-            // needs the part inside the compute span (they differ only
-            // in degenerate K < S geometries).
-            LayerState &prod = producerState(li);
-            FLCNN_ASSERT(prod.freshY.begin <= fy.begin &&
-                             prod.freshY.end >= fy.end &&
-                             prod.freshX.begin <= fx.begin &&
-                             prod.freshX.end >= fx.end,
-                         "producer fresh rect does not cover consumer");
-            copyRect(prod.fresh, prod.freshY, prod.freshX, st.tile, ty, tx,
-                     fy, fx);
+    for (int ch = 0; ch < plane.shape().c; ch++) {
+        for (int gy = y.begin; gy < y.end; gy++) {
+            traceSink(DramAccess{
+                write,
+                base + static_cast<uint64_t>(plane.idx(ch, gy, x.begin)) * 4,
+                static_cast<int64_t>(x.width()) * 4});
         }
     }
 }
 
 void
-FusedExecutor::saveReuse(int li, int r, int c)
+FusedExecutor::loadInput(Span y, Span x)
 {
-    const LayerGeom &g = tplan.geom(li);
-    LayerState &st = states[static_cast<size_t>(li)];
-    Span ty = g.inY[static_cast<size_t>(r)];
-    Span tx = g.inX[static_cast<size_t>(c)];
-
-    // BL: columns the next *active* pyramid in this row re-reads.
-    int next_bx = g.nextBeginX[static_cast<size_t>(c)];
-    if (next_bx >= 0 && g.overlapX > 0) {
-        Span keep{std::max(next_bx, tx.begin), tx.end};
-        if (!keep.empty()) {
-            st.blY = ty;
-            st.blX = keep;
-            copyRect(st.tile, ty, tx, st.bl, ty, keep, ty, keep);
-        } else {
-            st.blX = Span{0, 0};
+    if (y.empty() || x.empty())
+        return;
+    LayerState &st = states[0];
+    const int channels = groupInput->shape().c;
+    for (int ch = 0; ch < channels; ch++) {
+        for (int gy = y.begin; gy < y.end; gy++) {
+            const float *src = groupInput->rowPtr(ch, gy, x.begin);
+            std::copy(src, src + x.width(),
+                      st.ring.data() +
+                          st.ring.idx(ch, gy % st.ringRows, x.begin));
         }
     }
+    curStats.loadedBytes +=
+        static_cast<int64_t>(y.width()) * x.width() * channels * 4;
+    traceRect(false, *groupInput, traceInputBase, y, x);
+}
 
-    // BT: bottom rows for the next active pyramid row, written only up
-    // to the next active pyramid's left edge (safe-write; see file
-    // comment).
-    if (g.nextBeginY[static_cast<size_t>(r)] >= 0 && g.overlapY > 0) {
-        Span keep_rows{std::max(st.btBaseNew, ty.begin), ty.end};
-        int write_end =
-            (next_bx >= 0) ? std::min(next_bx, tx.end) : tx.end;
-        Span write_cols{std::max(tx.begin, st.btWatermark), write_end};
-        if (!keep_rows.empty() && !write_cols.empty()) {
-            copyRect(st.tile, ty, tx, st.bt,
-                     Span{st.btBaseNew, st.btBaseNew}, Span{0, 0},
-                     keep_rows, write_cols);
-        }
-        st.btWatermark = std::max(st.btWatermark, write_cols.end);
-    }
+void
+FusedExecutor::markCoverage(int li, Span oy, Span ox)
+{
+    if (!trackCoverage)
+        return;
+    const Shape &out = tplan.geom(li).outPlane;
+    std::vector<uint8_t> &cov = states[static_cast<size_t>(li)].coverage;
+    for (int ch = 0; ch < out.c; ch++)
+        for (int gy = oy.begin; gy < oy.end; gy++)
+            for (int gx = ox.begin; gx < ox.end; gx++)
+                cov[static_cast<size_t>(
+                    (static_cast<int64_t>(ch) * out.h + gy) * out.w + gx)]++;
 }
 
 void
@@ -181,72 +191,102 @@ FusedExecutor::computeWindowed(int li, int r, int c)
     const LayerSpec &spec = net.layer(g.layerIdx);
     LayerState &st = states[static_cast<size_t>(li)];
 
-    Span oy = g.freshOutY(r);
-    Span ox = g.freshOutX(c);
+    // The rect written into this layer's ring at this pyramid.
+    Span wy, wx;
+    if (li == 0) {
+        wy = g.freshInY(r);
+        wx = g.freshInX(c);
+        loadInput(wy, wx);
+    } else {
+        wy = states[static_cast<size_t>(li) - 1].freshY;
+        wx = states[static_cast<size_t>(li) - 1].freshX;
+    }
+
+    const Span oy = g.freshOutY(r);
+    const Span ox = g.freshOutX(c);
     st.freshY = oy;
     st.freshX = ox;
     if (oy.empty() || ox.empty())
         return;
 
-    const int s = spec.stride;
+    const int s = spec.stride, k = spec.kernel;
+    const PlaneRef out = outRef(li);
     if (spec.kind == LayerKind::Conv) {
-        // Tile rows [r0, ...) feed the fresh rows; int8/fp16 restage
-        // them from the tile on every pyramid.
-        const int r0 = oy.begin * s - st.tileY.begin;
+        // int8/fp16 stage exactly the rect written since the previous
+        // block: every ring element is converted once per write.
+        const bool staged = !wy.empty() && !wx.empty();
         const int64_t macs = conv.run(
-            li, {.src = &st.tile,
-                 .srcRow0 = r0,
-                 .x0 = ox.begin * s - st.tileX.begin,
+            li, {.src = &st.ring,
+                 .ringRows = st.ringRows,
+                 .srcRow0 = oy.begin * s,
+                 .x0 = ox.begin * s,
                  .rows = oy.width(),
                  .count = ox.width(),
-                 .dst = st.fresh.data(),
-                 .chStride = static_cast<int64_t>(st.fresh.shape().h) *
-                             st.fresh.shape().w,
-                 .rowStride = st.fresh.shape().w,
-                 .stageBegin = r0,
-                 .stageEnd = std::min((oy.end - 1) * s - st.tileY.begin +
-                                          spec.kernel,
-                                      st.tile.shape().h)});
+                 .dst = out.ring > 0 ? out.base + ox.begin + out.shift
+                                     : out.at(0, oy.begin, ox.begin),
+                 .chStride = out.chStride,
+                 .rowStride = out.rowStride,
+                 .dstRing = out.ring,
+                 .dstRow0 = oy.begin + out.shift,
+                 .stageBegin = wy.begin,
+                 .stageEnd = staged ? wy.end : wy.begin,
+                 .stageX0 = wx.begin,
+                 .stageX1 = wx.end});
         curStats.ops.mults += macs;
         curStats.ops.adds += macs;
     } else {
-        // Disjoint (ch, row) output strips; window order untouched.
-        // Pool ops are tallied analytically below (the per-point tally
-        // inside poolPoint would race across worker threads).
+        // Disjoint (ch, row) output strips. One pass over the row per
+        // window tap (i, j) with the ring row pointer hoisted: every
+        // output still folds its window in the canonical (i, j) order
+        // (the tap loops merely sit outside the vectorizable column
+        // loop), so results stay bit-identical to poolPoint().
+        const int rows = oy.width(), w = ox.width();
+        const bool is_max = spec.poolMode == PoolMode::Max;
         parallelFor(
-            0, static_cast<int64_t>(g.outPlane.c) * oy.width(),
+            0, static_cast<int64_t>(g.outPlane.c) * rows,
             [&](int64_t lo, int64_t hi) {
-                for (int64_t w = lo; w < hi; w++) {
-                    const int ch = static_cast<int>(w / oy.width());
-                    const int gy =
-                        oy.begin + static_cast<int>(w % oy.width());
-                    for (int gx = ox.begin; gx < ox.end; gx++) {
-                        st.fresh(ch, gy - oy.begin, gx - ox.begin) =
-                            poolPoint(st.tile, ch,
-                                      gy * s - st.tileY.begin,
-                                      gx * s - st.tileX.begin,
-                                      spec.kernel, spec.poolMode,
-                                      nullptr);
+                for (int64_t item = lo; item < hi; item++) {
+                    const int ch = static_cast<int>(item / rows);
+                    const int gy = oy.begin + static_cast<int>(item % rows);
+                    float *dst = out.at(ch, gy, ox.begin);
+                    if (is_max) {
+                        const float *rp = st.ring.rowPtr(
+                            ch, (gy * s) % st.ringRows, ox.begin * s);
+                        for (int t = 0; t < w; t++)
+                            dst[t] = rp[t * s];
+                    } else {
+                        std::fill(dst, dst + w, 0.0f);
+                    }
+                    for (int i = 0; i < k; i++) {
+                        const float *rp = st.ring.rowPtr(
+                            ch, (gy * s + i) % st.ringRows, ox.begin * s);
+                        for (int j = 0; j < k; j++) {
+                            if (is_max) {
+                                for (int t = 0; t < w; t++)
+                                    dst[t] = std::max(dst[t], rp[t * s + j]);
+                            } else {
+                                for (int t = 0; t < w; t++)
+                                    dst[t] += rp[t * s + j];
+                            }
+                        }
+                    }
+                    if (!is_max) {
+                        const float n = static_cast<float>(k * k);
+                        for (int t = 0; t < w; t++)
+                            dst[t] /= n;
                     }
                 }
             },
-            /*grain=*/2);
-        int64_t win = static_cast<int64_t>(spec.kernel) * spec.kernel *
-                      g.outPlane.c * oy.width() * ox.width();
-        if (spec.poolMode == PoolMode::Max)
+            rowGrain(static_cast<int64_t>(w) * k * k));
+        const int64_t win = static_cast<int64_t>(k) * k * g.outPlane.c *
+                            rows * w;
+        if (is_max)
             curStats.ops.compares += win;
         else
             curStats.ops.adds += win;
     }
 
-    if (trackCoverage) {
-        for (int ch = 0; ch < g.outPlane.c; ch++)
-            for (int gy = oy.begin; gy < oy.end; gy++)
-                for (int gx = ox.begin; gx < ox.end; gx++)
-                    st.coverage[static_cast<size_t>(
-                        (static_cast<int64_t>(ch) * g.outPlane.h + gy) *
-                        g.outPlane.w + gx)]++;
-    }
+    markCoverage(li, oy, ox);
 }
 
 void
@@ -257,78 +297,63 @@ FusedExecutor::runPad(int li, int r, int c)
     LayerState &st = states[static_cast<size_t>(li)];
     const int p = spec.pad;
 
-    Span oy = g.freshOutY(r);
-    Span ox = g.freshOutX(c);
+    const Span oy = g.freshOutY(r);
+    const Span ox = g.freshOutX(c);
     st.freshY = oy;
     st.freshX = ox;
     if (oy.empty() || ox.empty())
         return;
 
-    const Tensor *src = nullptr;
-    Span src_y{0, 0}, src_x{0, 0};
+    // The source rect in input coordinates (possibly empty on borders).
+    const Span sy{std::max(oy.begin - p, 0), std::min(oy.end - p, g.inPlane.h)};
+    const Span sx{std::max(ox.begin - p, 0), std::min(ox.end - p, g.inPlane.w)};
+    const bool any = !sy.empty() && !sx.empty();
     if (li == 0) {
-        src = groupInput;
-        src_y = Span{0, g.inPlane.h};
-        src_x = Span{0, g.inPlane.w};
+        if (any) {
+            curStats.loadedBytes += static_cast<int64_t>(sy.width()) *
+                                    sx.width() * g.inPlane.c * 4;
+        }
+        traceRect(false, *groupInput, traceInputBase, sy, sx);
     } else {
-        LayerState &prod = producerState(li);
-        src = &prod.fresh;
-        src_y = prod.freshY;
-        src_x = prod.freshX;
+        // The producer's rect is exactly the interior it wrote.
+        const LayerState &prod = states[static_cast<size_t>(li) - 1];
+        FLCNN_ASSERT(any ? prod.freshY == sy && prod.freshX == sx
+                         : prod.freshY.empty() || prod.freshX.empty(),
+                     "pad interior differs from the producer's rect");
     }
 
-    int64_t loaded = 0;
-    if (li == 0 && traceSink) {
-        // In-plane sources form one contiguous row segment per (ch, gy).
-        Span sxs{std::max(ox.begin - p, 0),
-                 std::min(ox.end - p, g.inPlane.w)};
-        for (int ch = 0; ch < g.outPlane.c && !sxs.empty(); ch++) {
-            for (int gy = oy.begin; gy < oy.end; gy++) {
-                int sy = gy - p;
-                if (sy < 0 || sy >= g.inPlane.h)
+    // The producer already wrote the interior, shifted by p, into the
+    // shared output; zero the borders (and, at the group head, copy the
+    // interior from the group input) on disjoint (ch, row) strips.
+    const PlaneRef in = inRef(li), out = outRef(li);
+    const int w = ox.width();
+    const int left = sx.begin + p - ox.begin;
+    const int inner = sx.width();
+    // Elements a row writes: past the group head only its borders.
+    const int row_cost = li == 0 ? w : w - inner + 1;
+    parallelFor(
+        0, static_cast<int64_t>(g.outPlane.c) * oy.width(),
+        [&](int64_t lo, int64_t hi) {
+            for (int64_t item = lo; item < hi; item++) {
+                const int ch = static_cast<int>(item / oy.width());
+                const int gy = oy.begin + static_cast<int>(item % oy.width());
+                float *dst = out.at(ch, gy, ox.begin);
+                const int y = gy - p;
+                if (!any || y < sy.begin || y >= sy.end) {
+                    std::fill(dst, dst + w, 0.0f);
                     continue;
-                trace(false,
-                      traceInputBase +
-                          static_cast<uint64_t>(groupInput->idx(
-                              ch, sy, sxs.begin)) * 4,
-                      static_cast<int64_t>(sxs.width()) * 4);
-            }
-        }
-    }
-    for (int ch = 0; ch < g.outPlane.c; ch++) {
-        for (int gy = oy.begin; gy < oy.end; gy++) {
-            for (int gx = ox.begin; gx < ox.end; gx++) {
-                int sy = gy - p, sx = gx - p;
-                float v = 0.0f;
-                bool inside = sy >= 0 && sy < g.inPlane.h && sx >= 0 &&
-                              sx < g.inPlane.w;
-                if (inside) {
-                    if (li == 0) {
-                        v = (*src)(ch, sy, sx);
-                        loaded++;
-                    } else {
-                        FLCNN_ASSERT(sy >= src_y.begin && sy < src_y.end &&
-                                         sx >= src_x.begin &&
-                                         sx < src_x.end,
-                                     "pad source outside producer fresh");
-                        v = (*src)(ch, sy - src_y.begin,
-                                   sx - src_x.begin);
-                    }
                 }
-                st.fresh(ch, gy - oy.begin, gx - ox.begin) = v;
+                std::fill(dst, dst + left, 0.0f);
+                if (li == 0) {
+                    const float *src = in.at(ch, y, sx.begin);
+                    std::copy(src, src + inner, dst + left);
+                }
+                std::fill(dst + left + inner, dst + w, 0.0f);
             }
-        }
-    }
-    curStats.loadedBytes += loaded * 4;
+        },
+        rowGrain(row_cost));
 
-    if (trackCoverage) {
-        for (int ch = 0; ch < g.outPlane.c; ch++)
-            for (int gy = oy.begin; gy < oy.end; gy++)
-                for (int gx = ox.begin; gx < ox.end; gx++)
-                    st.coverage[static_cast<size_t>(
-                        (static_cast<int64_t>(ch) * g.outPlane.h + gy) *
-                        g.outPlane.w + gx)]++;
-    }
+    markCoverage(li, oy, ox);
 }
 
 void
@@ -338,79 +363,89 @@ FusedExecutor::runPointwise(int li, int r, int c)
     const LayerSpec &spec = net.layer(g.layerIdx);
     LayerState &st = states[static_cast<size_t>(li)];
 
-    Span oy = g.freshOutY(r);
-    Span ox = g.freshOutX(c);
-
-    LayerState *owner;
-    if (li == 0) {
-        // A pointwise layer heading the group streams straight from DRAM.
-        owner = &st;
-        copyRect(*groupInput, Span{0, 0}, Span{0, 0}, st.fresh, oy, ox, oy,
-                 ox);
-        curStats.loadedBytes += static_cast<int64_t>(oy.width()) *
-                                ox.width() * g.inPlane.c * 4;
-        if (traceSink && !oy.empty() && !ox.empty()) {
-            for (int ch = 0; ch < g.inPlane.c; ch++)
-                for (int gy = oy.begin; gy < oy.end; gy++)
-                    trace(false,
-                          traceInputBase +
-                              static_cast<uint64_t>(groupInput->idx(
-                                  ch, gy, ox.begin)) * 4,
-                          static_cast<int64_t>(ox.width()) * 4);
-        }
-    } else {
-        LayerState &prod = producerState(li);
+    const Span oy = g.freshOutY(r);
+    const Span ox = g.freshOutX(c);
+    if (li > 0) {
+        const LayerState &prod = states[static_cast<size_t>(li) - 1];
         FLCNN_ASSERT(oy.empty() || ox.empty() ||
                          (prod.freshY == oy && prod.freshX == ox),
                      "pointwise fresh rect mismatch with producer");
-        owner = &prod;
-        st.freshOwner = prod.freshOwner;
     }
     st.freshY = oy;
     st.freshX = ox;
     if (oy.empty() || ox.empty())
         return;
 
-    Tensor &buf = owner->fresh;
-    if (spec.kind == LayerKind::ReLU) {
-        for (int ch = 0; ch < g.outPlane.c; ch++) {
-            for (int gy = oy.begin; gy < oy.end; gy++) {
-                for (int gx = ox.begin; gx < ox.end; gx++) {
-                    float &v = buf(ch, gy - oy.begin, gx - ox.begin);
-                    v = std::max(0.0f, v);
-                }
-            }
-        }
-        curStats.ops.compares += static_cast<int64_t>(g.outPlane.c) *
-                                 oy.width() * ox.width();
-    } else {
-        // LRN: cross-channel at each point; use a channel scratch column
-        // so the in-place update does not corrupt neighbors.
-        const int half = spec.lrnSize / 2;
-        std::vector<float> col(static_cast<size_t>(g.outPlane.c));
-        for (int gy = oy.begin; gy < oy.end; gy++) {
-            for (int gx = ox.begin; gx < ox.end; gx++) {
-                for (int ch = 0; ch < g.outPlane.c; ch++)
-                    col[static_cast<size_t>(ch)] =
-                        buf(ch, gy - oy.begin, gx - ox.begin);
-                for (int ch = 0; ch < g.outPlane.c; ch++) {
-                    float sum = 0.0f;
-                    int lo = std::max(0, ch - half);
-                    int hi = std::min(g.outPlane.c - 1, ch + half);
-                    for (int j = lo; j <= hi; j++)
-                        sum += col[static_cast<size_t>(j)] *
-                               col[static_cast<size_t>(j)];
-                    float denom = std::pow(
-                        2.0f + static_cast<float>(spec.lrnAlpha) * sum,
-                        static_cast<float>(spec.lrnBeta));
-                    buf(ch, gy - oy.begin, gx - ox.begin) =
-                        col[static_cast<size_t>(ch)] / denom;
-                    curStats.ops.mults += (hi - lo + 1) + 2;
-                    curStats.ops.adds += (hi - lo + 1) + 1;
-                }
-            }
-        }
+    const int channels = g.outPlane.c, rows = oy.width(), w = ox.width();
+    if (li == 0) {
+        // A pointwise layer heading the group streams from DRAM.
+        curStats.loadedBytes +=
+            static_cast<int64_t>(rows) * w * channels * 4;
+        traceRect(false, *groupInput, traceInputBase, oy, ox);
     }
+
+    // In place on the shared output buffer, except at the group head,
+    // which reads the group input.
+    const PlaneRef in = inRef(li), out = outRef(li);
+    if (spec.kind == LayerKind::ReLU) {
+        parallelFor(
+            0, static_cast<int64_t>(channels) * rows,
+            [&](int64_t lo, int64_t hi) {
+                for (int64_t item = lo; item < hi; item++) {
+                    const int ch = static_cast<int>(item / rows);
+                    const int gy = oy.begin + static_cast<int>(item % rows);
+                    const float *src = in.at(ch, gy, ox.begin);
+                    float *dst = out.at(ch, gy, ox.begin);
+                    for (int t = 0; t < w; t++)
+                        dst[t] = std::max(0.0f, src[t]);
+                }
+            },
+            rowGrain(w));
+        curStats.ops.compares += static_cast<int64_t>(channels) * rows * w;
+        return;
+    }
+
+    // LRN: cross-channel at each point. Each row first copies its input
+    // into the scratch, so the in-place update never reads a neighbor
+    // channel it already overwrote.
+    const int half = spec.lrnSize / 2;
+    const float alpha = static_cast<float>(spec.lrnAlpha);
+    const float beta = static_cast<float>(spec.lrnBeta);
+    parallelFor(
+        0, rows,
+        [&](int64_t lo, int64_t hi) {
+            for (int64_t yi = lo; yi < hi; yi++) {
+                const int y = static_cast<int>(yi);
+                const int gy = oy.begin + y;
+                for (int ch = 0; ch < channels; ch++) {
+                    const float *src = in.at(ch, gy, ox.begin);
+                    std::copy(src, src + w,
+                              st.scratch.data() + st.scratch.idx(ch, y, 0));
+                }
+                for (int t = 0; t < w; t++) {
+                    for (int ch = 0; ch < channels; ch++) {
+                        const int j0 = std::max(0, ch - half);
+                        const int j1 = std::min(channels - 1, ch + half);
+                        float sum = 0.0f;
+                        for (int j = j0; j <= j1; j++) {
+                            const float v = st.scratch(j, y, t);
+                            sum += v * v;
+                        }
+                        const float denom =
+                            std::pow(2.0f + alpha * sum, beta);
+                        *out.at(ch, gy, ox.begin + t) =
+                            st.scratch(ch, y, t) / denom;
+                    }
+                }
+            }
+        },
+        rowGrain(static_cast<int64_t>(channels) * w * spec.lrnSize));
+    int64_t taps = 0;
+    for (int ch = 0; ch < channels; ch++)
+        taps += std::min(channels - 1, ch + half) - std::max(0, ch - half) + 1;
+    const int64_t points = static_cast<int64_t>(rows) * w;
+    curStats.ops.mults += (taps + 2LL * channels) * points;
+    curStats.ops.adds += (taps + channels) * points;
 }
 
 Tensor
@@ -449,10 +484,6 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
     conv.beginRun();
     for (int li = 0; li < n; li++) {
         LayerState &st = states[static_cast<size_t>(li)];
-        st.btBaseOld = 0;
-        st.btBaseNew = 0;
-        st.btWatermark = 0;
-        st.blX = Span{0, 0};
         bool counts_coverage =
             tplan.geom(li).windowed ||
             net.layer(tplan.geom(li).layerIdx).kind == LayerKind::Pad;
@@ -462,30 +493,9 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
         } else {
             st.coverage.clear();
         }
-        // Pointwise owners are re-established every pyramid; reset the
-        // li == 0 special case.
-        if (!tplan.geom(li).windowed &&
-            net.layer(tplan.geom(li).layerIdx).pointwise() && li > 0) {
-            st.freshOwner = -1;
-        }
     }
 
     for (int r = 0; r < tplan.numPyramidRows(); r++) {
-        // Row bookkeeping (active rows only): the strip written during
-        // the previous active row becomes readable; a new strip (for the
-        // next active row) starts filling.
-        for (int li = 0; li < n; li++) {
-            const LayerGeom &g = tplan.geom(li);
-            LayerState &st = states[static_cast<size_t>(li)];
-            if (!g.windowed || g.overlapY <= 0 || !g.isActiveY(r))
-                continue;
-            st.btBaseOld = st.btBaseNew;
-            st.btBaseNew = g.nextBeginY[static_cast<size_t>(r)] >= 0
-                               ? g.nextBeginY[static_cast<size_t>(r)]
-                               : 0;
-            st.btWatermark = 0;
-        }
-
         for (int c = 0; c < tplan.numPyramidCols(); c++) {
             for (int li = 0; li < n; li++) {
                 const LayerGeom &g = tplan.geom(li);
@@ -493,15 +503,18 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
                 LayerState &st = states[static_cast<size_t>(li)];
                 if (!g.isActiveY(r) || !g.isActiveX(c)) {
                     // Stalled pyramid: this layer computes nothing here
-                    // and its buffers carry over untouched. Publish an
-                    // empty fresh rect for downstream bookkeeping.
+                    // and its ring carries over untouched, so nothing
+                    // may have been written into it.
+                    FLCNN_ASSERT(
+                        !g.windowed || li == 0 ||
+                            states[static_cast<size_t>(li) - 1]
+                                .freshY.empty() ||
+                            states[static_cast<size_t>(li) - 1]
+                                .freshX.empty(),
+                        "a stalled layer's producer wrote fresh data");
                     Span ey = g.freshOutY(r), ex = g.freshOutX(c);
                     st.freshY = Span{ey.end, ey.end};
                     st.freshX = Span{ex.end, ex.end};
-                    if (!g.windowed && spec.pointwise() && li > 0) {
-                        st.freshOwner =
-                            states[static_cast<size_t>(li) - 1].freshOwner;
-                    }
                     continue;
                 }
                 int64_t loaded0 = 0, mul0 = 0, add0 = 0, cmp0 = 0;
@@ -513,15 +526,12 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
                     cmp0 = curStats.ops.compares;
                     t0 = monotonicSeconds();
                 }
-                if (g.windowed) {
-                    assembleTile(li, r, c);
-                    saveReuse(li, r, c);
+                if (g.windowed)
                     computeWindowed(li, r, c);
-                } else if (spec.kind == LayerKind::Pad) {
+                else if (spec.kind == LayerKind::Pad)
                     runPad(li, r, c);
-                } else {
+                else
                     runPointwise(li, r, c);
-                }
                 if (metrics) {
                     const size_t i = static_cast<size_t>(li);
                     layerWall[i] += monotonicSeconds() - t0;
@@ -532,33 +542,21 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
                 }
             }
 
-            // Retire the pyramid: store the tip to DRAM.
-            LayerState &tail = states[static_cast<size_t>(n - 1)];
-            LayerState &owner = states[static_cast<size_t>(
-                tail.freshOwner >= 0 ? tail.freshOwner : n - 1)];
-            Span oy = tail.freshY, ox = tail.freshX;
+            // Retire the pyramid: the tail wrote its rect straight into
+            // the group output; account and trace the store.
+            const LayerState &tail = states[static_cast<size_t>(n - 1)];
+            const Span oy = tail.freshY, ox = tail.freshX;
             if (!oy.empty() && !ox.empty()) {
-                copyRect(owner.fresh, owner.freshY, owner.freshX, output,
-                         Span{0, 0}, Span{0, 0}, oy, ox);
                 curStats.storedBytes += static_cast<int64_t>(oy.width()) *
-                                        ox.width() *
-                                        output.shape().c * 4;
-                if (traceSink) {
-                    for (int ch = 0; ch < output.shape().c; ch++)
-                        for (int gy = oy.begin; gy < oy.end; gy++)
-                            trace(true,
-                                  traceOutputBase +
-                                      static_cast<uint64_t>(output.idx(
-                                          ch, gy, ox.begin)) * 4,
-                                  static_cast<int64_t>(ox.width()) * 4);
-                }
+                                        ox.width() * output.shape().c * 4;
+                traceRect(true, output, traceOutputBase, oy, ox);
             }
             curStats.pyramids++;
         }
     }
 
     curStats.reuseBytes = tplan.reuseBufferBytes();
-    curStats.workingBytes = tplan.workingBufferBytes();
+    curStats.workingBytes = bufferBytes();
 
     if (metrics) {
         for (int li = 0; li < n; li++) {
@@ -577,16 +575,11 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
             metrics->addCounter(scope, "adds", layerAdds[i]);
             metrics->addCounter(scope, "compares", layerCompares[i]);
             metrics->addGauge(scope, "wall_seconds", layerWall[i]);
-            metrics->setGauge(scope, "tile_bytes",
-                              static_cast<double>(st.tile.elems()) * 4);
+            metrics->setGauge(scope, "ring_bytes",
+                              static_cast<double>(st.ring.shape().bytes()));
             metrics->setGauge(
                 scope, "reuse_bytes",
-                static_cast<double>(st.bl.elems() + st.bt.elems()) * 4);
-            metrics->setGauge(
-                scope, "fresh_bytes",
-                st.freshOwner == li
-                    ? static_cast<double>(st.fresh.elems()) * 4
-                    : 0.0);
+                static_cast<double>(g.blBytes() + g.btBytes()));
         }
         metrics->addCounter(metricsPrefix, "pyramids",
                             curStats.pyramids);
@@ -595,6 +588,12 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
 
     if (trackCoverage) {
         coverageMsg.clear();
+        // The group-output completeness check applies to the last layer
+        // that tallies coverage (a pointwise tail tallies nothing itself
+        // and shares its producer's rects).
+        int tail = n - 1;
+        while (tail >= 0 && states[static_cast<size_t>(tail)].coverage.empty())
+            tail--;
         for (int li = 0; li < n; li++) {
             const LayerState &st = states[static_cast<size_t>(li)];
             if (st.coverage.empty())
@@ -606,11 +605,6 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
                 if (v >= 1)
                     computed++;
             }
-            // The group-output completeness check applies to whichever
-            // layer owns the tail's fresh buffer (a pointwise tail
-            // aliases its producer and tallies nothing itself).
-            bool is_tail_owner =
-                states[static_cast<size_t>(n - 1)].freshOwner == li;
             int64_t want = tplan.geom(li).outPlane.elems();
             if (over > 0) {
                 char buf[128];
@@ -619,7 +613,7 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
                               static_cast<long long>(over));
                 coverageMsg += buf;
             }
-            if (is_tail_owner && computed != want) {
+            if (li == tail && computed != want) {
                 char buf[128];
                 std::snprintf(
                     buf, sizeof(buf),

@@ -1,39 +1,42 @@
 /**
  * @file
  * FusedExecutor: functional model of the fused-layer accelerator
- * (Listings 3 and 4 of the paper). It runs both of Section III-C's
- * strategies; the TilePlan picks one. Under *reuse* (a retaining plan,
- * the default) it works as described below. Under *recompute* (a plan
- * built with retain = false) every fresh span is the whole span and no
- * overlap exists, so BL/BT are never allocated, each pyramid loads its
- * whole base tile from DRAM and every layer recomputes its whole
- * output span: the same loop nest with empty top/left strips.
+ * (Listings 3 and 4 of the paper) and the one executor behind every
+ * fused engine. The TilePlan picks the pyramid shape and Section
+ * III-C's strategy: a retaining plan (the default) is the reuse model,
+ * a plan built with retain = false recomputes every overlap, and a
+ * retaining plan whose tip spans the whole output row (one pyramid
+ * column) is a line buffer. There is no branch on plan shape.
  *
- * The executor evaluates a fusion group pyramid-by-pyramid. For every
- * windowed layer it keeps three on-chip buffers:
+ * The executor evaluates a fusion group pyramid by pyramid, in
+ * row-major order. Every windowed (Conv / Pool) layer holds its input
+ * in one full-width row ring: global row gy lives in slot gy %
+ * ringRows, column gx at gx. At each pyramid the layer's producer
+ * writes its fresh output rect straight into those slots, and the
+ * layer's conv or pool reads its whole tile in place. The rows and
+ * columns that earlier pyramids left in the ring are what the paper
+ * keeps in BT and BL; the rest of the tile is fresh. The plan's BL/BT
+ * sizes (TilePlan::reuseBufferBytes) stay the paper's cost model; the
+ * ring is how this executor holds them.
  *
- *  - tile: the layer's assembled input tile for the current pyramid;
- *  - BL ("buffer left"): the tile columns that overlap the next pyramid
- *    in the same row;
- *  - BT ("buffer top"): a full-plane-width strip of rows that overlap
- *    the next pyramid row.
+ * ringRows is the plan's maxTileH (taller only when K < S makes the
+ * producer write rows the tile skips). Every tile, together with the
+ * rows written at the same pyramid row, spans at most ringRows rows,
+ * so a write never lands on a slot a read of the current or a later
+ * pyramid still needs. That also removes the hazard of the paper's
+ * Listing 4, whose BT update overwrites rows that later pyramids in
+ * the same row still read.
  *
- * At each pyramid (row, col) the tile is assembled from BT (top strip),
- *  BL (left strip) and the fresh data produced by the preceding fused
- * layer in the same pyramid (or loaded from DRAM for the group's first
- * layer); the layer then computes exactly the fresh region of its output
- * that downstream layers have not seen. Every intermediate value is
- * computed exactly once — the defining property of the reuse model —
- * which the optional coverage tracker verifies (on retaining plans; a
- * recompute plan computes overlapping values more than once by
- * design).
+ * Output placement: a layer writes into the ring of the next windowed
+ * layer, or into the group output when no windowed layer follows. The
+ * ReLU / LRN layers in between run in place on the written rect, and a
+ * Pad in between shifts the write by its padding and then only zeroes
+ * its border rows and columns, so no intermediate plane exists beside
+ * the rings. The group's first layer loads its fresh rect from DRAM.
  *
- * One deliberate deviation from the paper's Listing 4: the listing
- * updates BT across its own full tile width each iteration, which would
- * overwrite rows that pyramids later in the same row still need. This
- * implementation writes BT only up to the next pyramid's left edge (the
- * region no later pyramid in this row reads), resolving the hazard the
- * pseudo-code elides.
+ * Under reuse every intermediate value is computed exactly once, which
+ * the optional coverage tracker verifies; a recompute plan computes
+ * overlapping values more than once by design.
  */
 
 #ifndef FLCNN_FUSION_FUSED_EXECUTOR_HH
@@ -61,14 +64,14 @@ struct FusedRunStats
     int64_t storedBytes = 0;   //!< DRAM bytes written (group output)
     int64_t reuseBytes = 0;    //!< BL + BT capacity (the paper's cost;
                                //!< 0 on a recompute plan)
-    int64_t workingBytes = 0;  //!< tile + fresh-output buffer capacity
-                               //!< (TilePlan::workingBufferBytes())
+    int64_t workingBytes = 0;  //!< buffers this executor allocates
+                               //!< (FusedExecutor::bufferBytes())
     int64_t pyramids = 0;      //!< number of pyramids evaluated
     OpCount ops;               //!< arithmetic performed
 };
 
-/** Functional fused-layer executor for one fusion group (reuse or
- *  recompute, as the TilePlan says). */
+/** Functional fused-layer executor for one fusion group (reuse,
+ *  recompute or line buffer, as the TilePlan says). */
 class FusedExecutor
 {
   public:
@@ -88,12 +91,19 @@ class FusedExecutor
      * must equal plan().groupOutput(). Every output element is
      * produced by the run (the coverage tracker proves it), so @p out
      * need not be zero-filled — on the serving hot path it is an
-     * arena-backed view and this call performs no output allocation.
+     * arena-backed view and this call performs no allocation.
      */
     void runInto(const Tensor &input, Tensor *out,
                  FusedRunStats *stats = nullptr);
 
     const TilePlan &plan() const { return tplan; }
+
+    /** Bytes of the windowed layers' input rings. */
+    int64_t ringBytes() const;
+
+    /** Bytes of every buffer the executor allocates: the rings and
+     *  the LRN input scratch. */
+    int64_t bufferBytes() const;
 
     /**
      * Enable per-element coverage tracking (test instrumentation).
@@ -106,12 +116,12 @@ class FusedExecutor
     std::string coverageReport() const;
 
     /**
-     * Run subsequent pyramids under @p prec's precision mode: conv
-     * tiles are staged into the mode's compute format and the mode's
-     * kernels produce the fresh region (fusion/conv_row_driver.hh);
-     * every other layer computes in fp32 as always. Results are
-     * bit-identical to the precision reference (nn::runRange with the
-     * same @p prec).
+     * Run subsequent pyramids under @p prec's precision mode: the rect
+     * written into each conv layer's ring is staged into the mode's
+     * compute format and the mode's kernels produce the fresh region
+     * (fusion/conv_row_driver.hh); every other layer computes in fp32
+     * as always. Results are bit-identical to the precision reference
+     * (nn::runRange with the same @p prec).
      * Pass nullptr (the default state) for plain fp32. The pointed-to
      * state must outlive the executor.
      */
@@ -135,14 +145,14 @@ class FusedExecutor
      * Record per-fused-layer breakdowns of subsequent runs into @p m
      * (scopes "layer:<i>:<name>"): dram_read_bytes /
      * dram_write_bytes, mults / adds / compares, wall_seconds, and
-     * buffer-occupancy gauges (tile_bytes: the input assembly tile;
-     * reuse_bytes: BL + BT, 0 on a recompute plan; fresh_bytes: the
-     * fresh-output buffer the layer owns), plus run-level pyramid and
-     * weight-pack hit/miss counters under the "" scope. @p
-     * scope_prefix is prepended to every scope (the partition executor
-     * passes "group:<g>:" so its groups stay distinguishable in one
-     * registry). Pass nullptr to detach. The registry must outlive the
-     * executor or the next setMetrics().
+     * buffer gauges (ring_bytes: the layer's input ring, 0 for
+     * non-windowed layers; reuse_bytes: the plan's BL + BT cost, 0 on
+     * a recompute plan),
+     * plus run-level pyramid and weight-pack hit/miss counters under
+     * the "" scope. @p scope_prefix is prepended to every scope (the
+     * partition executor passes "group:<g>:" so its groups stay
+     * distinguishable in one registry). Pass nullptr to detach. The
+     * registry must outlive the executor or the next setMetrics().
      */
     void
     setMetrics(MetricsRegistry *m, std::string scope_prefix = "")
@@ -152,44 +162,60 @@ class FusedExecutor
     }
 
   private:
-    /** Per-fused-layer mutable state. */
+    /** A plane as the executor holds it: element (ch, gy, gx) lives at
+     *  base + ch * chStride + y * rowStride + gx + shift, where y is
+     *  gy + shift, taken mod ring for a ring. */
+    struct PlaneRef
+    {
+        float *base = nullptr;
+        int64_t chStride = 0;
+        int64_t rowStride = 0;
+        int ring = 0;
+        int shift = 0;
+
+        float *
+        at(int ch, int gy, int gx) const
+        {
+            const int y = ring > 0 ? (gy + shift) % ring : gy + shift;
+            return base + ch * chStride + y * rowStride + gx + shift;
+        }
+    };
+
+    /** Per-fused-layer state. */
     struct LayerState
     {
-        // Assembly tile (windowed layers only).
-        Tensor tile;
-        Span tileY, tileX;   //!< global rect currently held in tile
-
-        // Reuse buffers (windowed layers with positive overlap).
-        Tensor bl;           //!< C x maxTileH x overlapX
-        Span blY, blX;       //!< global rect held in bl
-        Tensor bt;           //!< C x overlapY x planeW
-        int btBaseOld = 0;   //!< global first row of readable strip
-        int btBaseNew = 0;   //!< global first row of strip being written
-        int btWatermark = 0; //!< columns [0, watermark) hold new rows
-
-        // Fresh output of this layer for the current pyramid. Pointwise
-        // layers alias the producer's buffer (freshOwner picks whose).
-        Tensor fresh;
-        Span freshY, freshX; //!< global output rect held in fresh
-        int freshOwner = -1; //!< fused-layer index owning the buffer
+        Tensor ring;         //!< windowed: C x ringRows x W input ring
+        int ringRows = 0;
+        Tensor scratch;      //!< LRN: the rect's input, read while the
+                             //!< layer writes its output in place
+        int sinkLayer = -1;  //!< whose ring the output lands in (-1:
+                             //!< the group output)
+        int shift = 0;       //!< padding of the Pads on the way there
+        Span freshY, freshX; //!< output rect of the current pyramid
 
         // Coverage instrumentation (output plane of this layer).
         std::vector<uint8_t> coverage;
     };
 
-    void assembleTile(int li, int r, int c);
-    void saveReuse(int li, int r, int c);
     void computeWindowed(int li, int r, int c);
     void runPad(int li, int r, int c);
     void runPointwise(int li, int r, int c);
 
-    /** Fresh buffer and rect of the producer feeding fused layer li. */
-    LayerState &producerState(int li);
+    /** Load rows @p y x columns @p x of the group input into fused
+     *  layer 0's ring (a DRAM read). */
+    void loadInput(Span y, Span x);
 
-    /** Copy a global rect from src (with rect anchor) into dst. */
-    static void copyRect(const Tensor &src, Span src_y, Span src_x,
-                         Tensor &dst, Span dst_y, Span dst_x,
-                         Span rect_y, Span rect_x);
+    /** Where fused layer li reads its input / writes its output. */
+    PlaneRef inRef(int li);
+    PlaneRef outRef(int li);
+
+    /** Count one computation of every element of layer li's output
+     *  rect (coverage tracking only). */
+    void markCoverage(int li, Span oy, Span ox);
+
+    /** Trace one row segment per (channel, row) of a DRAM rect. */
+    void traceRect(bool write, const Tensor &plane, uint64_t base, Span y,
+                   Span x);
 
     const Network &net;
     TilePlan tplan;
@@ -203,14 +229,6 @@ class FusedExecutor
     TraceSink traceSink;
     MetricsRegistry *metrics = nullptr;
     std::string metricsPrefix;   //!< prepended to every metric scope
-
-    /** Emit one traced access when a sink is installed. */
-    void
-    trace(bool write, uint64_t addr, int64_t bytes)
-    {
-        if (traceSink && bytes > 0)
-            traceSink(DramAccess{write, addr, bytes});
-    }
 };
 
 } // namespace flcnn

@@ -3,7 +3,6 @@
 #include "common/clock.hh"
 #include "common/logging.hh"
 #include "fusion/fused_executor.hh"
-#include "fusion/line_buffer_executor.hh"
 #include "fusion/plan.hh"
 #include "nn/autotune_net.hh"
 #include "nn/reference.hh"
@@ -81,7 +80,6 @@ FusionPlan::operator=(const FusionPlan &other)
     solverNames.clear();
     diag.clear();
     fused.reset();
-    lineBuffer.reset();
     return *this;
 }
 
@@ -230,26 +228,19 @@ FusionPlan::compile(const PlanCompileOptions &opt)
         solverNames.push_back(std::to_string(i) + ":" + cp.solver);
     }
 
-    switch (opt.engine) {
-      case PlanEngine::Reference:
-        break;
-      case PlanEngine::Fused:
-      case PlanEngine::Recompute:
-        // Recompute is the pyramid executor over a plan that retains
-        // no overlap between pyramids (Section III-C).
+    // Every fused engine is FusedExecutor over its own tile plan:
+    // Fused retains the overlap between tip x tip pyramids, Recompute
+    // recomputes it (Section III-C), and LineBuffer retains it across
+    // one column of pyramids tip rows tall and as wide as the output.
+    if (opt.engine != PlanEngine::Reference) {
+        const bool line = opt.engine == PlanEngine::LineBuffer;
         fused = std::make_unique<FusedExecutor>(
             *net, *weights,
-            TilePlan(*net, first, last, opt.tip, opt.tip,
-                     /*retain=*/opt.engine == PlanEngine::Fused));
+            TilePlan(*net, first, last, opt.tip,
+                     line ? net->outShape(last).w : opt.tip,
+                     /*retain=*/opt.engine != PlanEngine::Recompute));
         fused->setPrecision(opt.precision);
         fused->setFastMath(opt.fastMath);
-        break;
-      case PlanEngine::LineBuffer:
-        lineBuffer = std::make_unique<LineBufferExecutor>(*net, *weights,
-                                                          first, last);
-        lineBuffer->setPrecision(opt.precision);
-        lineBuffer->setFastMath(opt.fastMath);
-        break;
     }
 
     opt_ = opt;
@@ -315,10 +306,9 @@ FusionPlan::execute(const Tensor &input)
         return runRange(*net, *weights, input, opList.front(),
                         opList.back(), opt_.precision);
       case PlanEngine::Fused:
+      case PlanEngine::LineBuffer:
       case PlanEngine::Recompute:
         return fused->run(input);
-      case PlanEngine::LineBuffer:
-        return lineBuffer->run(input);
     }
     panic("unreachable plan engine");
 }
@@ -335,11 +325,9 @@ FusionPlan::executeInto(const Tensor &input, Tensor *out)
         opt_.metrics->addCounter("plan", "executes", 1);
     switch (opt_.engine) {
       case PlanEngine::Fused:
+      case PlanEngine::LineBuffer:
       case PlanEngine::Recompute:
         fused->runInto(input, out);
-        return;
-      case PlanEngine::LineBuffer:
-        lineBuffer->runInto(input, out);
         return;
       case PlanEngine::Reference:
         break;

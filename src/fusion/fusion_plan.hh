@@ -18,8 +18,8 @@
  *   engine      | accepted op sequences
  *   ------------+----------------------------------------------------
  *   Fused       | path-shaped runs of Pad / Conv / Pool / ReLU / LRN
- *   LineBuffer  | (the three engines share one precondition set;
- *   Recompute   |  Recompute runs the Fused engine's executor)
+ *   LineBuffer  | (the three engines share one precondition set and
+ *   Recompute   |  one executor, FusedExecutor; only the plan differs)
  *   Reference   | any path-shaped single-input run (FC included)
  *
  * Everything else is a typed rejection: multi-input joins (Add,
@@ -52,7 +52,6 @@
 namespace flcnn {
 
 class FusedExecutor;
-class LineBufferExecutor;
 class MetricsRegistry;
 
 /** Which executor a plan compiles onto (also the serving runtime's
@@ -60,8 +59,9 @@ class MetricsRegistry;
 enum class PlanEngine
 {
     Reference,   //!< layer-by-layer nn::runRange (explicit choice)
-    Fused,       //!< FusedExecutor (reuse model, pyramid dataflow)
-    LineBuffer,  //!< LineBufferExecutor (row-streaming dataflow)
+    Fused,       //!< FusedExecutor over tip x tip pyramids (reuse)
+    LineBuffer,  //!< FusedExecutor over one column of full-width
+                 //!< pyramids, tip rows tall (reuse)
     Recompute,   //!< FusedExecutor over a recompute TilePlan (retain =
                  //!< false: no reuse buffers, Section III-C)
 };
@@ -93,7 +93,9 @@ const char *compileStatusName(CompileStatus s);
 struct PlanCompileOptions
 {
     PlanEngine engine = PlanEngine::Fused;
-    int tip = 1;  //!< pyramid tip for Fused/Recompute plans
+    /** Pyramid tip: tip x tip output pixels for Fused / Recompute,
+     *  tip full-width output rows for LineBuffer. */
+    int tip = 1;
 
     /** Precision state (nullptr = fp32); must be calibrated for the
      *  plan's network + weights and outlive the compiled plan. */
@@ -213,11 +215,9 @@ class FusionPlan
     std::vector<std::string> solverNames;
     mutable std::string diag;
 
-    // Exactly one is live after compiling onto a fused engine: fused
-    // for Fused and Recompute, lineBuffer for LineBuffer (Reference
-    // pins no executor — runRange holds no state).
+    // Live after compiling onto a fused engine (Reference pins no
+    // executor — runRange holds no state).
     std::unique_ptr<FusedExecutor> fused;
-    std::unique_ptr<LineBufferExecutor> lineBuffer;
 };
 
 } // namespace flcnn

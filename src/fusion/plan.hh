@@ -6,8 +6,10 @@
  * the plan precomputes for every fused layer the input span it touches
  * for each pyramid row/column, the "fresh" sub-span that is newly
  * produced at each step (everything else comes from the reuse buffers),
- * and the reuse-buffer and assembly-buffer dimensions the executor will
- * allocate. This realizes the paper's Section III-B exploration
+ * and the paper's reuse-buffer (BL/BT) and assembly-tile dimensions: the
+ * cost model the analytic and DSE layers price. (FusedExecutor holds the
+ * same data in one full-width row ring of maxTileH rows per windowed
+ * layer.) This realizes the paper's Section III-B exploration
  * framework and the calcparams module of Section IV-B, generalized to
  * ragged edges and arbitrary tip tiles.
  *
@@ -16,8 +18,10 @@
  * model) carries it on chip in the BL/BT buffers. A *recompute* plan
  * (retain = false) carries nothing: every pyramid's fresh span is its
  * whole span, so each pyramid reloads its full base tile and recomputes
- * every intermediate it needs, and no reuse buffer exists. The same
- * executor (FusedExecutor) runs both.
+ * every intermediate it needs, and no reuse buffer exists. The tip
+ * shape is free too: a tip as wide as the group output gives one column
+ * of full-width pyramids, the line buffer. One executor (FusedExecutor)
+ * runs every plan.
  */
 
 #ifndef FLCNN_FUSION_PLAN_HH
@@ -38,7 +42,8 @@ namespace flcnn {
  * the receptive field of the layer's whole output span — it drives the
  * backward recursion and the fresh-data accounting. The *compute* span
  * (inX/Y) is the receptive field of only the output the layer newly
- * computes at this pyramid; it is what the assembly tile holds. Only the
+ * computes at this pyramid: the tile the layer's conv or pool reads
+ * (in place, from its ring). Only the
  * first pyramid of a row/column computes a full tile (the paper's
  * "inW1 = X if col = 0" case); interior pyramids compute an Sx-wide
  * sliver whose tile overlaps the previous one by exactly K - S — which
@@ -103,7 +108,8 @@ struct LayerGeom
      *  assembly + reuse buffers). */
     bool windowed = false;
 
-    /** Buffer sizes in bytes (4 B per element). */
+    /** Buffer sizes in bytes (4 B per element) of the paper's
+     *  accelerator: the cost model, not what FusedExecutor allocates. */
     int64_t tileBytes() const;   //!< input assembly buffer
     int64_t blBytes() const;     //!< left reuse buffer
     int64_t btBytes() const;     //!< top (row) reuse buffer

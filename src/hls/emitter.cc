@@ -25,6 +25,9 @@ class Code
         out += '\n';
     }
 
+    /** An empty line (a zero-length format would trip -Wformat). */
+    void blank() { out += '\n'; }
+
     std::string out;
 };
 
@@ -183,19 +186,19 @@ emitFusedHls(const Network &net, int first_layer, int last_layer,
     c.line("// form of the paper's BL/BT reuse buffers). All dimensions");
     c.line("// are hard-coded, as the paper's specialized accelerator");
     c.line("// requires. HLS pragmas are no-ops under a host compiler.");
-    c.line("");
+    c.blank();
     c.line("namespace flcnn_hls {");
-    c.line("");
+    c.blank();
     c.line("constexpr int kInC = %d, kInH = %d, kInW = %d;", gin.c, gin.h,
            gin.w);
     c.line("constexpr int kOutC = %d, kOutH = %d, kOutW = %d;", gout.c,
            gout.h, gout.w);
     c.line("constexpr long kWeightWords = %lldL;",
            static_cast<long long>(w_total));
-    c.line("");
+    c.blank();
     c.line("float g_weights[kWeightWords > 0 ? kWeightWords : 1];");
     c.line("float g_out[kOutC * kOutH * kOutW];");
-    c.line("");
+    c.blank();
 
     for (int li = 0; li < nl; li++) {
         const EmitLayer &el = layers[static_cast<size_t>(li)];
@@ -210,11 +213,11 @@ emitFusedHls(const Network &net, int first_layer, int last_layer,
         }
         c.line("float rowbuf_l%d[%d * %d];", li, el.out.c, el.out.w);
     }
-    c.line("");
+    c.blank();
 
     for (int li = 0; li < nl; li++)
         c.line("void push_l%d(int y, const float *row);", li);
-    c.line("");
+    c.blank();
 
     // Output sink.
     c.line("inline void");
@@ -225,7 +228,7 @@ emitFusedHls(const Network &net, int first_layer, int last_layer,
     c.line("            g_out[(ch * kOutH + y) * kOutW + x] = "
            "row[ch * kOutW + x];");
     c.line("}");
-    c.line("");
+    c.blank();
 
     for (int li = 0; li < nl; li++) {
         const EmitLayer &el = layers[static_cast<size_t>(li)];
@@ -306,7 +309,7 @@ emitFusedHls(const Network &net, int first_layer, int last_layer,
             panic("unsupported layer kind in HLS emission");
         }
         c.line("}");
-        c.line("");
+        c.blank();
     }
 
     // Reset + top.
@@ -320,7 +323,7 @@ emitFusedHls(const Network &net, int first_layer, int last_layer,
         }
     }
     c.line("}");
-    c.line("");
+    c.blank();
     c.line("// Top-level: streams a CHW image through the fused stack");
     c.line("// (Listing 3's per-pyramid loop, at row granularity).");
     c.line("void");
@@ -337,15 +340,15 @@ emitFusedHls(const Network &net, int first_layer, int last_layer,
     c.line("        push_l0(y, row);");
     c.line("    }");
     c.line("}");
-    c.line("");
+    c.blank();
     c.line("} // namespace flcnn_hls");
 
     if (opt.testbench) {
-        c.line("");
+        c.blank();
         c.line("#ifdef FLCNN_HLS_TESTBENCH");
         c.line("#include <cstdio>");
         c.line("#include <cstdlib>");
-        c.line("");
+        c.blank();
         c.line("static long");
         c.line("read_floats(const char *path, float *dst, long n)");
         c.line("{");
@@ -357,7 +360,7 @@ emitFusedHls(const Network &net, int first_layer, int last_layer,
         c.line("    std::fclose(f);");
         c.line("    return got;");
         c.line("}");
-        c.line("");
+        c.blank();
         c.line("int");
         c.line("main(int argc, char **argv)");
         c.line("{");

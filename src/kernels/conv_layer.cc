@@ -53,50 +53,59 @@ ConvStage::configure(Precision m, int cc, int hh, int ww)
 
 void
 stageConvInputI8(ConvStage &st, const Tensor &src, const ActQuant &act,
-                 int r0, int r1)
+                 int r0, int r1, int x0, int x1)
 {
     const Shape &s = src.shape();
     FLCNN_ASSERT(st.mode == Precision::Int8 && st.c == s.c &&
                      st.h == s.h && st.w == s.w,
                  "stage not configured for this source");
-    FLCNN_ASSERT(r0 >= 0 && r1 <= st.h, "stage row range out of bounds");
+    if (x1 < 0)
+        x1 = st.w;
+    FLCNN_ASSERT(r0 >= 0 && r1 <= st.h && x0 >= 0 && x1 <= st.w,
+                 "stage rect out of bounds");
+    if (x0 >= x1)
+        return;
     const float inv_scale = 1.0f / act.scale;
     const bool vec = useAvx2Helpers();
     for (int n = 0; n < st.c; n++) {
         for (int y = r0; y < r1; y++) {
-            const float *row = src.rowPtr(n, y, 0);
+            const float *row = src.rowPtr(n, y, x0);
             uint8_t *out =
                 st.u8.data() + n * st.chStride() +
-                static_cast<int64_t>(y) * st.stageW;
+                static_cast<int64_t>(y) * st.stageW + x0;
 #ifdef FLCNN_SIMD_AVX2
             if (vec) {
-                simd::quantizeRowI8(out, row, st.w, inv_scale, act.zp);
+                simd::quantizeRowI8(out, row, x1 - x0, inv_scale, act.zp);
                 continue;
             }
 #else
             (void)vec;
 #endif
-            for (int x = 0; x < st.w; x++)
+            for (int x = 0; x < x1 - x0; x++)
                 out[x] = quantizeAct(row[x], inv_scale, act.zp);
         }
     }
 }
 
 void
-stageConvInputF16(ConvStage &st, const Tensor &src, int r0, int r1)
+stageConvInputF16(ConvStage &st, const Tensor &src, int r0, int r1, int x0,
+                  int x1)
 {
     const Shape &s = src.shape();
     FLCNN_ASSERT(st.mode == Precision::Fp16 && st.c == s.c &&
                      st.h == s.h && st.w == s.w,
                  "stage not configured for this source");
-    FLCNN_ASSERT(r0 >= 0 && r1 <= st.h, "stage row range out of bounds");
+    if (x1 < 0)
+        x1 = st.w;
+    FLCNN_ASSERT(r0 >= 0 && r1 <= st.h && x0 >= 0 && x1 <= st.w,
+                 "stage rect out of bounds");
     for (int n = 0; n < st.c; n++) {
         for (int y = r0; y < r1; y++) {
             const float *row = src.rowPtr(n, y, 0);
             float *out =
                 st.f32.data() + n * st.chStride() +
                 static_cast<int64_t>(y) * st.stageW;
-            for (int x = 0; x < st.w; x++)
+            for (int x = x0; x < x1; x++)
                 out[x] = roundToHalf(row[x]);
         }
     }

@@ -71,15 +71,18 @@ struct ConvStage
     }
 };
 
-/** Quantize rows [r0, r1) of every channel of @p src into @p st
- *  (Int8 mode): q = clamp(round(x / act.scale) + act.zp, 0, 255).
- *  Idempotent — restaging a row rewrites the same bytes. */
+/** Quantize rows [r0, r1) x columns [x0, x1) (x1 < 0: to the row end)
+ *  of every channel of @p src into @p st (Int8 mode):
+ *  q = clamp(round(x / act.scale) + act.zp, 0, 255). Idempotent —
+ *  restaging an element rewrites the same byte. */
 void stageConvInputI8(ConvStage &st, const Tensor &src,
-                      const ActQuant &act, int r0, int r1);
+                      const ActQuant &act, int r0, int r1, int x0 = 0,
+                      int x1 = -1);
 
-/** Round rows [r0, r1) of every channel of @p src through binary16
- *  into @p st (Fp16 mode). */
-void stageConvInputF16(ConvStage &st, const Tensor &src, int r0, int r1);
+/** Round rows [r0, r1) x columns [x0, x1) (x1 < 0: to the row end) of
+ *  every channel of @p src through binary16 into @p st (Fp16 mode). */
+void stageConvInputF16(ConvStage &st, const Tensor &src, int r0, int r1,
+                       int x0 = 0, int x1 = -1);
 
 /**
  * Compute @p count output pixels of every filter in block @p bi of the

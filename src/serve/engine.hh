@@ -47,7 +47,7 @@ struct ModelSpec
     const NetworkWeights *weights = nullptr;
     int firstLayer = 0;
     int lastLayer = 0;   //!< inclusive; set by the server at addModel
-    int tip = 1;         //!< pyramid tip for fused/recompute plans
+    int tip = 1;         //!< pyramid tip (PlanCompileOptions::tip)
     /** Precision state for non-fp32 serving (nullptr = fp32). Must be
      *  calibrated for @p net + @p weights and outlive every engine. */
     const NetPrecision *precision = nullptr;

@@ -148,13 +148,13 @@ InputSlot
 InferenceServer::acquireInput(int model)
 {
     FLCNN_ASSERT(isStarted, "acquireInput() before start()");
-    if (model < 0 || model >= static_cast<int>(specs.size()))
-        fatal("acquireInput(): unknown model id %d (%zu registered)",
-              model, specs.size());
-    const ModelSpec &spec = specs[static_cast<size_t>(model)];
-    const Shape &in = spec.net->inShape(spec.firstLayer);
     InputSlot slot;
     slot.model = model;
+    // An unknown id gets an empty slot; submit() completes it Invalid.
+    if (model < 0 || model >= static_cast<int>(specs.size()))
+        return slot;
+    const ModelSpec &spec = specs[static_cast<size_t>(model)];
+    const Shape &in = spec.net->inShape(spec.firstLayer);
     slot.tensor = inputArena->acquireTensor(in, &slot.lease);
     slot.fallback = !slot.lease.active();
     return slot;
@@ -163,7 +163,6 @@ InferenceServer::acquireInput(int model)
 SubmitResult
 InferenceServer::submit(InputSlot &&slot)
 {
-    FLCNN_ASSERT(slot.model >= 0, "submit() of an empty input slot");
     return submitImpl(slot.model, std::move(slot.tensor),
                       std::move(slot.lease));
 }
@@ -198,19 +197,22 @@ InferenceServer::submitImpl(int model, Tensor &&input,
                             ArenaLease &&lease)
 {
     FLCNN_ASSERT(isStarted, "submit() before start()");
-    if (model < 0 || model >= static_cast<int>(specs.size()))
-        fatal("submit(): unknown model id %d (%zu registered)", model,
-              specs.size());
 
     SubmitResult res;
     res.id = nextRequestId.fetch_add(1, std::memory_order_relaxed);
     res.handle = handlePool->acquire();
     statsHub.onSubmitted();
 
-    // A request the engines cannot run is refused here, with a typed
-    // status, instead of failing an executor assertion in a worker.
-    const ModelSpec &spec = specs[static_cast<size_t>(model)];
-    if (!(input.shape() == spec.net->inShape(spec.firstLayer))) {
+    // A request the engines cannot run (an unknown model id or a
+    // wrong input shape) is refused here, with a typed status, instead
+    // of ending the process or failing an executor assertion in a
+    // worker.
+    const ModelSpec *spec =
+        model >= 0 && model < static_cast<int>(specs.size())
+            ? &specs[static_cast<size_t>(model)]
+            : nullptr;
+    if (!spec ||
+        !(input.shape() == spec->net->inShape(spec->firstLayer))) {
         statsHub.onInvalid();
         lease.release();
         res.admit = AdmitResult::Invalid;
@@ -221,7 +223,7 @@ InferenceServer::submitImpl(int model, Tensor &&input,
 
     // Admission control: shedding protects the latency-critical
     // budget from best-effort pressure before the queue sees it.
-    if (spec.slo == SloClass::BestEffort && shouldShed()) {
+    if (spec->slo == SloClass::BestEffort && shouldShed()) {
         statsHub.onShed();
         lease.release();
         res.admit = AdmitResult::Shed;

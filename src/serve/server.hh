@@ -66,7 +66,7 @@ struct ServeConfig
     PlanEngine engine = PlanEngine::LineBuffer;
     IntraOpMode intraOp = IntraOpMode::Auto;
     bool warmup = true;
-    int tip = 1;                    //!< pyramid tip (fused/recompute)
+    int tip = 1;                    //!< pyramid tip (PlanCompileOptions)
     size_t maxSpans = 100000;       //!< per-request trace log cap
     /** Pin worker w to the w-th allowed CPU (logged no-op where the
      *  platform lacks affinity support). */
@@ -141,7 +141,8 @@ class InferenceServer
      * and write the image straight into slot.tensor (shape = the
      * model's input shape; not zero-filled). Thread-safe; requires
      * start(). Arena exhaustion degrades to a counted heap fallback,
-     * never an error.
+     * never an error. An unknown @p model yields an empty slot that
+     * submit() completes as Invalid.
      */
     InputSlot acquireInput(int model);
 
@@ -154,8 +155,8 @@ class InferenceServer
      * Copying submission path: submit one image for @p model by value
      * (moved in; no further copies downstream). Thread-safe. Blocks
      * only under the Block overflow policy when the queue is full.
-     * Rejected / closed / shed / invalid (wrong input shape)
-     * submissions return an already-completed handle.
+     * Rejected / closed / shed / invalid (unknown model id or wrong
+     * input shape) submissions return an already-completed handle.
      */
     SubmitResult submit(int model, Tensor input);
 

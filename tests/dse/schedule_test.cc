@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dse/exec.hh"
 #include "dse/schedule.hh"
 #include "nn/zoo.hh"
 
@@ -31,6 +32,27 @@ TEST(Schedule, ValidateRejectsBadTileHeights)
     EXPECT_NE(validateSchedule(net, s), "");
     s.groups[0].tileH = kMaxTileH;
     EXPECT_EQ(validateSchedule(net, s), "");
+}
+
+TEST(Schedule, ValidateRejectsGroupsBeyondTheRetainMask)
+{
+    // 70 stages of 1x1 convs as one group: more windowed layers than
+    // the retain mask has bits. Validation says so instead of ending
+    // the process in meaningfulRetainBits().
+    constexpr int kStages = 70;
+    Network net("conv1x1_chain", Shape{2, 4, 4});
+    for (int i = 0; i < kStages; i++)
+        net.add(LayerSpec::conv("c" + std::to_string(i),
+                                i % 2 == 0 ? 5 : 3, 1));
+    Schedule s = chainSchedule(partitionFromSizes({kStages}, kStages));
+    EXPECT_NE(validateSchedule(net, s), "");
+    EXPECT_NE(dse::scheduleExecutableReason(net, s), "");
+    // Groups of 32 windowed layers still fit.
+    Schedule ok = chainSchedule(partitionFromSizes(
+        {kMaxGroupWindowed, kMaxGroupWindowed,
+         kStages - 2 * kMaxGroupWindowed},
+        kStages));
+    EXPECT_EQ(validateSchedule(net, ok), "");
 }
 
 TEST(Schedule, ValidateRejectsNonPartitionGroups)

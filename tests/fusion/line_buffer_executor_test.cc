@@ -1,14 +1,15 @@
 /**
  * @file
- * LineBufferExecutor: bit-exact equivalence with the reference and with
- * the pyramid executor, plus line-buffer capacity accounting.
+ * The line buffer: FusedExecutor over a retaining one-column plan (tip
+ * full-width output rows per pyramid, the plan PlanEngine::LineBuffer
+ * compiles). Bit-exact equivalence with the reference and with 1x1
+ * pyramids, plus ring capacity accounting.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hh"
 #include "fusion/fused_executor.hh"
-#include "fusion/line_buffer_executor.hh"
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
@@ -16,6 +17,13 @@
 
 namespace flcnn {
 namespace {
+
+/** The one-column plan over [first, last], @p tip output rows tall. */
+TilePlan
+lineBufferPlan(const Network &net, int first, int last, int tip = 1)
+{
+    return TilePlan(net, first, last, tip, net.outShape(last).w);
+}
 
 void
 expectLineBufferMatches(const Network &net, int first, int last,
@@ -28,14 +36,19 @@ expectLineBufferMatches(const Network &net, int first, int last,
     input.fillRandom(irng);
 
     Tensor ref = runRange(net, weights, input, first, last);
-    LineBufferExecutor exec(net, weights, first, last, row_block);
-    LineBufferStats stats;
+    FusedExecutor exec(net, weights,
+                       lineBufferPlan(net, first, last, row_block));
+    exec.setTrackCoverage(true);
+    FusedRunStats stats;
     Tensor out = exec.run(input, &stats);
 
     CompareResult cmp = compareTensors(ref, out);
     EXPECT_TRUE(cmp.match)
         << net.name() << " block " << row_block << ": " << cmp.str();
-    EXPECT_EQ(stats.loadedBytes, net.inShape(first).bytes());
+    EXPECT_EQ(exec.coverageReport(), "") << net.name();
+    // Every input element a window reads is loaded exactly once.
+    EXPECT_EQ(stats.loadedBytes, exec.plan().inputBytesLoaded());
+    EXPECT_LE(stats.loadedBytes, net.inShape(first).bytes());
     EXPECT_EQ(stats.storedBytes, net.outShape(last).bytes());
 }
 
@@ -79,16 +92,18 @@ TEST(LineBufferExecutor, AvgPool)
     expectLineBufferMatches(net, 0, 1, 45);
 }
 
-TEST(LineBufferExecutor, BufferBytesAreKRowsPerWindowedLayer)
+TEST(LineBufferExecutor, BufferBytesAreTileRowsPerWindowedLayer)
 {
+    // Each windowed layer's ring holds its tallest tile: (rows per
+    // pyramid - 1) * S + K full-width rows.
     Network net("bytes", Shape{3, 18, 18});
-    net.add(LayerSpec::conv("c1", 4, 3, 1));  // ring 3 rows x 18 x 3ch
-    net.add(LayerSpec::pool("p1", 2, 2));     // ring 2 rows x 16 x 4ch
+    net.add(LayerSpec::conv("c1", 4, 3, 1));  // 2 rows/pyramid: 4 x 18
+    net.add(LayerSpec::pool("p1", 2, 2));     // 1 row/pyramid: 2 x 16
     Rng rng(1);
     NetworkWeights weights(net, rng);
-    LineBufferExecutor exec(net, weights, 0, 1);
-    int64_t expect = (3LL * 3 * 18 + 4LL * 2 * 16) * 4;
-    EXPECT_EQ(exec.bufferBytes(), expect);
+    FusedExecutor exec(net, weights, lineBufferPlan(net, 0, 1));
+    int64_t expect = (3LL * 4 * 18 + 4LL * 2 * 16) * 4;
+    EXPECT_EQ(exec.ringBytes(), expect);
 }
 
 TEST(LineBufferExecutor, AgreesWithPyramidExecutor)
@@ -104,7 +119,8 @@ TEST(LineBufferExecutor, AgreesWithPyramidExecutor)
     Rng irng(47);
     input.fillRandom(irng);
 
-    LineBufferExecutor lb(net, weights, 0, net.numLayers() - 1);
+    FusedExecutor lb(net, weights,
+                     lineBufferPlan(net, 0, net.numLayers() - 1));
     FusedExecutor py(net, weights,
                      TilePlan(net, 0, net.numLayers() - 1, 1, 1));
     Tensor a = lb.run(input);
@@ -137,11 +153,11 @@ TEST(LineBufferExecutor, RowBlockingGrowsBuffers)
     net.add(LayerSpec::conv("c1", 4, 3, 1));
     Rng rng(1);
     NetworkWeights weights(net, rng);
-    LineBufferExecutor one(net, weights, 0, 0, 1);
-    LineBufferExecutor four(net, weights, 0, 0, 4);
+    FusedExecutor one(net, weights, lineBufferPlan(net, 0, 0, 1));
+    FusedExecutor four(net, weights, lineBufferPlan(net, 0, 0, 4));
     // ring rows: K vs (B-1)*S + K.
-    EXPECT_EQ(one.bufferBytes(), 3LL * 3 * 18 * 4);
-    EXPECT_EQ(four.bufferBytes(), 3LL * 6 * 18 * 4);
+    EXPECT_EQ(one.ringBytes(), 3LL * 3 * 18 * 4);
+    EXPECT_EQ(four.ringBytes(), 3LL * 6 * 18 * 4);
 }
 
 const Precision kAllPrecisions[] = {Precision::Fp32, Precision::Int8,
@@ -198,9 +214,10 @@ TEST(LineBufferExecutor, DifferentialSweepBitExactAcrossThreadCounts)
                     }
                     for (int threads : {1, 2, 4, hw}) {
                         ScopedThreads scope(threads);
-                        LineBufferExecutor exec(net, weights, 0,
-                                                net.numLayers() - 1,
-                                                row_block);
+                        FusedExecutor exec(
+                            net, weights,
+                            lineBufferPlan(net, 0, net.numLayers() - 1,
+                                           row_block));
                         exec.setPrecision(&prec);
                         Tensor out = exec.run(input);
                         CompareResult cmp = compareTensors(ref, out);

@@ -16,7 +16,7 @@
 #include "accel/partition_executor.hh"
 #include "common/thread_pool.hh"
 #include "dse/sweep.hh"
-#include "fusion/line_buffer_executor.hh"
+#include "fusion/fused_executor.hh"
 #include "hls/emitter.hh"
 #include "model/transfer.hh"
 #include "nn/reference.hh"
@@ -62,9 +62,10 @@ TEST(EndToEnd, ExploreThenExecuteTheParetoFront)
 
 TEST(EndToEnd, FourIndependentExecutionPathsAgree)
 {
-    // Reference, pyramid-fused, line-buffered, and tiled-baseline are
-    // four structurally different evaluations of the same network;
-    // all must agree bit-exactly.
+    // Reference, pyramid-fused (1x1 tips), line-buffered (one column
+    // of full-width pyramids: the same executor over a different tile
+    // plan), and tiled-baseline are four different evaluation orders
+    // of the same network; all must agree bit-exactly.
     Rng rng(83);
     for (int trial = 0; trial < 8; trial++) {
         Network net = randomFusableNet(rng);
@@ -79,7 +80,8 @@ TEST(EndToEnd, FourIndependentExecutionPathsAgree)
 
         Tensor ref = runRange(net, weights, input, 0, last);
         FusedExecutor fx(net, weights, TilePlan(net, 0, last));
-        LineBufferExecutor lb(net, weights, 0, last);
+        FusedExecutor lb(net, weights,
+                         TilePlan(net, 0, last, 1, net.outShape(last).w));
         BaselineAccelerator base(net, weights,
                                  BaselineConfig{2, 2, 5, 5});
 
@@ -255,17 +257,37 @@ TEST(Observability, ExecutorMetricSumsMatchRunStats)
         EXPECT_EQ(rreg.sumCounters("adds"), rs.ops.adds);
         EXPECT_EQ(rreg.sumCounters("compares"), rs.ops.compares);
 
-        // Line buffer model (ops attributed at the tally sites).
-        LineBufferExecutor lb(net, weights, 0, last);
+        // Line buffer model: one column of full-width pyramids. Every
+        // fused layer carries its wall time and its ring gauge.
+        FusedExecutor lb(net, weights,
+                         TilePlan(net, 0, last, 1, net.outShape(last).w));
         MetricsRegistry lreg;
         lb.setMetrics(&lreg);
-        LineBufferStats ls;
+        FusedRunStats ls;
         lb.run(input, &ls);
         EXPECT_EQ(lreg.sumCounters("dram_read_bytes"), ls.loadedBytes);
         EXPECT_EQ(lreg.sumCounters("dram_write_bytes"), ls.storedBytes);
         EXPECT_EQ(lreg.sumCounters("mults"), ls.ops.mults);
         EXPECT_EQ(lreg.sumCounters("adds"), ls.ops.adds);
         EXPECT_EQ(lreg.sumCounters("compares"), ls.ops.compares);
+        EXPECT_EQ(ls.ops, rangeOpCount(net, 0, last));
+        EXPECT_DOUBLE_EQ(lreg.sumGauges("ring_bytes"),
+                         static_cast<double>(lb.ringBytes()));
+        EXPECT_GT(lreg.sumGauges("wall_seconds"), 0.0);
+        for (int li = 0; li <= last; li++) {
+            const std::string scope =
+                MetricsRegistry::layerScope(li, net.layer(li).name);
+            int found = 0;
+            for (const Metric &m : lreg.items()) {
+                if (m.scope == scope && m.isGauge &&
+                    (m.name == "wall_seconds" || m.name == "ring_bytes"))
+                    found++;
+            }
+            EXPECT_EQ(found, 2) << scope;
+            if (net.layer(li).windowed()) {
+                EXPECT_GT(lreg.gauge(scope, "ring_bytes"), 0.0) << scope;
+            }
+        }
     }
 }
 

@@ -63,8 +63,9 @@ TEST(Pareto, FrontMembersDoNotDominateEachOther)
     auto front = paretoFront(pts);
     for (size_t a = 0; a < front.size(); a++)
         for (size_t b = 0; b < front.size(); b++)
-            if (a != b)
+            if (a != b) {
                 EXPECT_FALSE(front[a].dominates(front[b]));
+            }
 }
 
 TEST(Pareto, EveryInputIsDominatedByOrOnTheFront)

@@ -38,8 +38,13 @@ std::atomic<int64_t> g_allocs{0};
 
 #if !defined(__SANITIZE_ADDRESS__)
 
-void *
-operator new(std::size_t n)
+namespace {
+
+// Every hook goes through this pair. Kept out of line, so a caller
+// that inlines an operator delete sees a release matched to the
+// operator new it called, not a free() of operator-new memory.
+[[gnu::noinline]] void *
+countedAlloc(std::size_t n)
 {
     if (g_countAllocs.load(std::memory_order_relaxed))
         g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -48,34 +53,48 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
+[[gnu::noinline]] void
+countedFree(void *p) noexcept
+{
+    std::free(p);
+}
+
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    return countedAlloc(n);
+}
+
 void *
 operator new[](std::size_t n)
 {
-    return ::operator new(n);
+    return countedAlloc(n);
 }
 
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 #endif // !__SANITIZE_ADDRESS__

@@ -308,26 +308,35 @@ TEST(ServeAdmission, WrongShapeIsInvalidAndServingContinues)
         server.addModel("m", net, w);
         server.start();
 
-        SubmitResult bad = server.submit(0, Tensor(Shape{3, 21, 20}));
-        EXPECT_EQ(bad.admit, AdmitResult::Invalid);
-        ASSERT_EQ(bad.handle->wait(), RequestStatus::Invalid);
+        // Bad requests: a wrong shape, an unknown model id by value,
+        // and an unknown model id through the zero-copy slot path.
+        // Each is Invalid and the next valid request is served.
+        std::vector<SubmitResult> bad;
+        bad.push_back(server.submit(0, Tensor(Shape{3, 21, 20})));
+        bad.push_back(server.submit(7, Tensor(good)));
+        bad.push_back(server.submit(server.acquireInput(7)));
+        for (size_t i = 0; i < bad.size(); i++) {
+            SCOPED_TRACE("bad request " + std::to_string(i));
+            EXPECT_EQ(bad[i].admit, AdmitResult::Invalid);
+            ASSERT_EQ(bad[i].handle->wait(), RequestStatus::Invalid);
 
-        SubmitResult ok = server.submit(0, Tensor(good));
-        EXPECT_EQ(ok.admit, AdmitResult::Admitted);
-        ASSERT_EQ(ok.handle->wait(), RequestStatus::Ok);
-        EXPECT_TRUE(tensorsEqual(golden, ok.handle->output()));
+            SubmitResult ok = server.submit(0, Tensor(good));
+            EXPECT_EQ(ok.admit, AdmitResult::Admitted);
+            ASSERT_EQ(ok.handle->wait(), RequestStatus::Ok);
+            EXPECT_TRUE(tensorsEqual(golden, ok.handle->output()));
+        }
         server.drainAndStop();
 
         const ServerStats &st = server.stats();
-        EXPECT_EQ(st.submitted(), 2);
-        EXPECT_EQ(st.invalid(), 1);
-        EXPECT_EQ(st.completed(), 1);
+        EXPECT_EQ(st.submitted(), 6);
+        EXPECT_EQ(st.invalid(), 3);
+        EXPECT_EQ(st.completed(), 3);
         EXPECT_EQ(st.submitted(), st.admitted() + st.rejected() +
                                       st.cancelled() + st.shed() +
                                       st.invalid());
         MetricsRegistry reg;
         server.registerMetrics(reg);
-        EXPECT_EQ(reg.counter("serve:queue", "invalid"), 1);
+        EXPECT_EQ(reg.counter("serve:queue", "invalid"), 3);
     }
 }
 

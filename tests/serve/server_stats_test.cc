@@ -213,8 +213,9 @@ TEST(ServerStats, NoPercentileGaugesBeforeFirstCompletion)
     EXPECT_EQ(reg.counter("serve:latency:total", "count"), 0);
     EXPECT_EQ(reg.counter("serve:latency:compute", "count"), 0);
     for (const Metric &m : reg.items()) {
-        if (m.scope.rfind("serve:latency:", 0) == 0)
+        if (m.scope.rfind("serve:latency:", 0) == 0) {
             EXPECT_EQ(m.name, "count") << m.scope << ":" << m.name;
+        }
     }
 }
 

@@ -47,10 +47,12 @@ TEST(Pipeline, DependenciesRespected)
         for (int s = 0; s < 3; s++) {
             const StageSlot &sl = sched.slot(p, s);
             EXPECT_EQ(sl.end - sl.start, (p + 1) * (s + 1));
-            if (s > 0)
+            if (s > 0) {
                 EXPECT_GE(sl.start, sched.slot(p, s - 1).end);
-            if (p > 0)
+            }
+            if (p > 0) {
                 EXPECT_GE(sl.start, sched.slot(p - 1, s).end);
+            }
         }
     }
 }
